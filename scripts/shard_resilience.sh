@@ -196,7 +196,7 @@ echo "== vrc-merge: shuffled partials and a conflicting line =="
 head -2 "$WORK/base.ckpt" > "$WORK/a.ckpt"
 head -2 "$WORK/base.ckpt" > "$WORK/b.ckpt"
 sed -n '3,5p' "$WORK/base.ckpt" >> "$WORK/a.ckpt"
-sed -n '6,11p' "$WORK/base.ckpt" >> "$WORK/b.ckpt"
+sed -n '6,$p' "$WORK/base.ckpt" >> "$WORK/b.ckpt"
 "$MERGE" --out="$WORK/merged.ckpt" "$WORK/b.ckpt" "$WORK/a.ckpt" \
     > /dev/null
 cmp -s "$WORK/base.ckpt" "$WORK/merged.ckpt" || {

@@ -139,6 +139,27 @@ class ErrorException : public std::runtime_error
 };
 
 /**
+ * Run @p fn and map whatever it throws onto the taxonomy: an
+ * ErrorException keeps its Error, anything else becomes a Worker
+ * error. Empty when @p fn returned normally.
+ */
+template <typename Fn>
+std::optional<Error>
+catchAsError(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const ErrorException &e) {
+        return e.err();
+    } catch (const std::exception &e) {
+        return makeError(ErrorKind::Worker, e.what());
+    } catch (...) {
+        return makeError(ErrorKind::Worker, "unknown exception");
+    }
+    return std::nullopt;
+}
+
+/**
  * Either a value or an Error. [[nodiscard]] so parse failures cannot
  * be dropped on the floor.
  */

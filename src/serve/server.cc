@@ -1,9 +1,5 @@
 #include "serve/server.hh"
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -12,7 +8,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -21,9 +16,10 @@
 #include "base/fault.hh"
 #include "base/log.hh"
 #include "base/shutdown.hh"
-#include "serve/sim_pool.hh"
+#include "serve/conn.hh"
 #include "serve/wire.hh"
 #include "sim/campaign.hh"
+#include "sim/json_stats.hh"
 #include "trace/workload.hh"
 
 namespace vrc
@@ -40,61 +36,23 @@ secondsSince(Clock::time_point t)
     return std::chrono::duration<double>(Clock::now() - t).count();
 }
 
-
-bool
-knownProfileName(const std::string &name)
-{
-    return name == "pops" || name == "thor" || name == "abaqus";
-}
-
-std::string
-jsonEscapeName(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-    }
-    return out;
-}
-
 } // namespace
-
-const char *
-sessionStateName(SessionState s)
-{
-    switch (s) {
-      case SessionState::AwaitHello:
-        return "await-hello";
-      case SessionState::Ready:
-        return "ready";
-      case SessionState::Poisoned:
-        return "poisoned";
-      case SessionState::Closed:
-        return "closed";
-    }
-    return "unknown";
-}
 
 /** One connected client. */
 struct Session
 {
+    Session(int fd, std::size_t maxFrameBytes) : conn(fd, maxFrameBytes) {}
+
     std::uint64_t id = 0;
-    int fd = -1;
+    Connection conn;
     std::atomic<SessionState> state{SessionState::AwaitHello};
     std::string client; ///< HELLO name; reader thread writes it once
                         ///< before flipping state to Ready
-
-    std::mutex writeMu;       ///< serializes the socket's write side
-    bool writeShut = false;   ///< under writeMu
 
     std::atomic<std::size_t> inflight{0};
     std::atomic<std::uint64_t> txSeq{0};
     std::atomic<bool> readerDone{false};
     std::thread reader;
-
-    FrameReader frames{wireMaxPayloadDefault}; ///< reader thread only
 
     bool
     alive() const
@@ -115,11 +73,15 @@ struct Work
 
 struct ServeServer::Impl
 {
-    ServeOptions opt;
+    explicit Impl(ServeOptions o)
+        : opt(std::move(o)), book(opt.quarantineThreshold, "client")
+    {
+    }
 
-    int unixFd = -1;
-    int tcpFd = -1;
-    int boundTcpPort = -1;
+    ServeOptions opt;
+    StrikeBook book; ///< poisoned sessions per client name
+
+    Listener listener;
     int drainPipe[2] = {-1, -1};
     int signalWakeFd = -1;
 
@@ -138,122 +100,39 @@ struct ServeServer::Impl
     std::vector<std::shared_ptr<Session>> sessions;
     std::uint64_t nextSessionId = 1;
 
-    // Counters + quarantine registry.
     mutable std::mutex statsMu;
     ServiceStats st;
-    std::map<std::string, unsigned> poisonCounts;
     std::uint64_t sessionsReaped = 0;
-
-    SimulatorPool pool{2};
 
     std::atomic<bool> started{false};
 
-    // ---- socket plumbing -------------------------------------------
-
-    Status
-    bindListeners()
-    {
-        if (opt.unixPath.empty() && opt.tcpPort < 0)
-            return makeError(ErrorKind::Io,
-                             "serve: no listener configured (need a "
-                             "unix path and/or a TCP port)");
-        if (!opt.unixPath.empty()) {
-            sockaddr_un sa = {};
-            if (opt.unixPath.size() >= sizeof(sa.sun_path))
-                return makeError(ErrorKind::Bounds,
-                                 "unix socket path too long: ",
-                                 opt.unixPath);
-            unixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            if (unixFd < 0)
-                return makeError(ErrorKind::Io, "socket(AF_UNIX): ",
-                                 std::strerror(errno));
-            sa.sun_family = AF_UNIX;
-            std::strncpy(sa.sun_path, opt.unixPath.c_str(),
-                         sizeof(sa.sun_path) - 1);
-            ::unlink(opt.unixPath.c_str());
-            if (::bind(unixFd, reinterpret_cast<sockaddr *>(&sa),
-                       sizeof(sa)) != 0 ||
-                ::listen(unixFd, 64) != 0)
-                return makeError(ErrorKind::Io, "cannot listen on ",
-                                 opt.unixPath, ": ",
-                                 std::strerror(errno));
-        }
-        if (opt.tcpPort >= 0) {
-            tcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (tcpFd < 0)
-                return makeError(ErrorKind::Io, "socket(AF_INET): ",
-                                 std::strerror(errno));
-            int one = 1;
-            ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                         sizeof(one));
-            sockaddr_in sa = {};
-            sa.sin_family = AF_INET;
-            sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            sa.sin_port =
-                htons(static_cast<std::uint16_t>(opt.tcpPort));
-            if (::bind(tcpFd, reinterpret_cast<sockaddr *>(&sa),
-                       sizeof(sa)) != 0 ||
-                ::listen(tcpFd, 64) != 0)
-                return makeError(ErrorKind::Io,
-                                 "cannot listen on 127.0.0.1:",
-                                 opt.tcpPort, ": ",
-                                 std::strerror(errno));
-            socklen_t len = sizeof(sa);
-            ::getsockname(tcpFd, reinterpret_cast<sockaddr *>(&sa),
-                          &len);
-            boundTcpPort = ntohs(sa.sin_port);
-        }
-        return okStatus();
-    }
-
     // ---- session write side ----------------------------------------
 
-    /** Shut the socket down (both ways) with writeMu already held. */
-    void
-    shutLocked(Session &s)
-    {
-        if (!s.writeShut) {
-            s.writeShut = true;
-            ::shutdown(s.fd, SHUT_RDWR);
-        }
-    }
-
     /**
-     * Send one frame, applying an injected service fault when armed.
-     * Returns false when the session is gone (or was just cut).
+     * Send one frame, applying an injected service fault when armed:
+     * the reply is torn in half, or sent whole before the connection
+     * drops. Returns false when the session is gone (or was just cut).
      */
     bool
     sendFrame(Session &s, const std::string &frame,
               ServeFault fault = ServeFault::None)
     {
-        std::lock_guard<std::mutex> g(s.writeMu);
-        if (s.writeShut || !s.alive())
-            return false;
-        if (fault == ServeFault::Tear) {
-            warn("serve: fault injection tearing a frame on session ",
-                 s.id);
-            writeAllFd(s.fd, frame.data(), frame.size() / 2);
-            shutLocked(s);
-            s.state.store(SessionState::Closed,
-                          std::memory_order_release);
-            bumpStat(&ServiceStats::responsesTorn);
-            return false;
+        if (fault == ServeFault::None) {
+            if (s.conn.send(frame))
+                return true;
+        } else {
+            bool tear = fault == ServeFault::Tear;
+            if (s.conn.sendAndShut(frame, tear ? frame.size() / 2
+                                               : frame.size())) {
+                warn("serve: fault injection ",
+                     tear ? "tearing a frame on" : "dropping",
+                     " session ", s.id);
+                bumpStat(tear ? &ServiceStats::responsesTorn
+                              : &ServiceStats::responsesDropped);
+            }
         }
-        if (!writeAllFd(s.fd, frame.data(), frame.size())) {
-            shutLocked(s);
-            s.state.store(SessionState::Closed,
-                          std::memory_order_release);
-            return false;
-        }
-        if (fault == ServeFault::Drop) {
-            warn("serve: fault injection dropping session ", s.id);
-            shutLocked(s);
-            s.state.store(SessionState::Closed,
-                          std::memory_order_release);
-            bumpStat(&ServiceStats::responsesDropped);
-            return false;
-        }
-        return true;
+        closeSession(s);
+        return false;
     }
 
     void
@@ -276,25 +155,10 @@ struct ServeServer::Impl
         warn("serve: poisoning session ", s.id,
              s.client.empty() ? "" : (" (" + s.client + ")"), ": ",
              err.describe());
-        {
-            std::lock_guard<std::mutex> g(statsMu);
-            ++st.sessionsPoisoned;
-            if (!s.client.empty()) {
-                unsigned n = ++poisonCounts[s.client];
-                if (n == opt.quarantineThreshold)
-                    st.quarantinedClients.push_back(s.client);
-            }
-        }
-        {
-            std::lock_guard<std::mutex> g(s.writeMu);
-            if (!s.writeShut && s.alive()) {
-                std::string f = encodeErrorReply(
-                    FrameType::Error,
-                    ErrorReply{0, err.kind, err.message});
-                writeAllFd(s.fd, f.data(), f.size());
-            }
-            shutLocked(s);
-        }
+        bumpStat(&ServiceStats::sessionsPoisoned);
+        book.strike(s.client);
+        s.conn.sendAndShut(encodeErrorReply(
+            FrameType::Error, ErrorReply{0, err.kind, err.message}));
         s.state.store(SessionState::Poisoned,
                       std::memory_order_release);
     }
@@ -303,10 +167,7 @@ struct ServeServer::Impl
     void
     closeSession(Session &s)
     {
-        {
-            std::lock_guard<std::mutex> g(s.writeMu);
-            shutLocked(s);
-        }
+        s.conn.shutdown();
         if (s.alive())
             s.state.store(SessionState::Closed,
                           std::memory_order_release);
@@ -320,64 +181,32 @@ struct ServeServer::Impl
         Session &s = *sp;
         const Clock::time_point never = Clock::time_point{};
         Clock::time_point frame_started = never;
-        char buf[64 * 1024];
-
-        while (s.alive()) {
-            pollfd p = {};
-            p.fd = s.fd;
-            p.events = POLLIN;
-            int pr = ::poll(&p, 1, 100);
-            if (pr < 0) {
-                if (errno == EINTR)
-                    continue;
-                closeSession(s);
-                break;
-            }
-            if (pr > 0 &&
-                (p.revents & (POLLIN | POLLHUP | POLLERR))) {
-                long n = readSomeFd(s.fd, buf, sizeof(buf));
-                if (n == 0) {
-                    closeSession(s);
-                    break;
-                }
-                if (n < 0) {
-                    if (errno == EAGAIN || errno == EWOULDBLOCK)
-                        continue;
-                    closeSession(s);
-                    break;
-                }
-                s.frames.feed(buf, static_cast<std::size_t>(n));
-                while (s.alive()) {
-                    FrameReader::State fs = s.frames.poll();
-                    if (fs == FrameReader::State::Frame) {
-                        handleFrame(sp, s.frames.take());
-                        continue;
-                    }
-                    if (fs == FrameReader::State::Broken)
-                        poison(s, s.frames.error());
-                    break;
-                }
-            }
-            // Slowloris guillotine: a frame must complete within
-            // readTimeoutSeconds of its first byte. Completed frames
-            // reset the clock; an idle connection (no partial frame)
-            // is fine indefinitely.
-            if (s.alive()) {
-                if (s.frames.pendingBytes() > 0) {
-                    if (frame_started == never)
-                        frame_started = Clock::now();
-                    else if (secondsSince(frame_started) >
-                             opt.readTimeoutSeconds)
-                        poison(s, makeError(
-                            ErrorKind::Timeout,
-                            "frame stalled for more than ",
-                            opt.readTimeoutSeconds,
-                            " s (slowloris?)"));
-                } else {
+        Connection::ReadEnd end = s.conn.readFrames(
+            [&s] { return s.alive(); },
+            [&](Frame f) {
+                handleFrame(sp, std::move(f));
+                return s.alive();
+            },
+            [&] {
+                // Slowloris guillotine: a frame must complete within
+                // readTimeoutSeconds of its first byte. Completed
+                // frames reset the clock; an idle connection (no
+                // partial frame) is fine indefinitely.
+                if (s.conn.pendingBytes() == 0)
                     frame_started = never;
-                }
-            }
-        }
+                else if (frame_started == never)
+                    frame_started = Clock::now();
+                else if (secondsSince(frame_started) >
+                         opt.readTimeoutSeconds)
+                    poison(s, makeError(ErrorKind::Timeout,
+                                        "frame stalled for more than ",
+                                        opt.readTimeoutSeconds,
+                                        " s (slowloris?)"));
+            });
+        if (end == Connection::ReadEnd::Broken)
+            poison(s, s.conn.frameError());
+        else if (end == Connection::ReadEnd::Eof)
+            closeSession(s);
         s.readerDone.store(true, std::memory_order_release);
     }
 
@@ -385,12 +214,12 @@ struct ServeServer::Impl
     handleFrame(const std::shared_ptr<Session> &sp, Frame f)
     {
         Session &s = *sp;
+        if (f.type == FrameType::Bye) {
+            closeSession(s);
+            return;
+        }
         switch (s.state.load(std::memory_order_acquire)) {
           case SessionState::AwaitHello:
-            if (f.type == FrameType::Bye) {
-                closeSession(s);
-                return;
-            }
             if (f.type != FrameType::Hello) {
                 poison(s, makeError(ErrorKind::Format,
                                     frameTypeName(f.type),
@@ -400,10 +229,6 @@ struct ServeServer::Impl
             handleHello(s, f.payload);
             return;
           case SessionState::Ready:
-            if (f.type == FrameType::Bye) {
-                closeSession(s);
-                return;
-            }
             if (f.type == FrameType::Submit) {
                 handleSubmit(sp, f.payload);
                 return;
@@ -427,21 +252,9 @@ struct ServeServer::Impl
             return;
         }
         HelloRequest req = h.take();
-        bool banned = false;
-        {
-            std::lock_guard<std::mutex> g(statsMu);
-            auto it = poisonCounts.find(req.client);
-            banned = it != poisonCounts.end() &&
-                     it->second >= opt.quarantineThreshold;
-            if (banned)
-                ++st.hellosRejected;
-        }
-        if (banned) {
-            sendFrame(s, encodeErrorReply(
-                FrameType::Quarantined,
-                ErrorReply{0, ErrorKind::Worker,
-                           "client '" + req.client +
-                               "' is quarantined"}));
+        if (book.quarantined(req.client)) {
+            bumpStat(&ServiceStats::hellosRejected);
+            sendFrame(s, book.refusal(req.client));
             closeSession(s);
             return;
         }
@@ -471,7 +284,7 @@ struct ServeServer::Impl
 
         // Well-formed but wrong content: reject the segment, keep
         // the session (an honest client with a bad request).
-        if (!knownProfileName(req.profileName)) {
+        if (!isBuiltinProfile(req.profileName)) {
             refuse(FrameType::Error, ErrorKind::Bounds,
                    "unknown workload profile '" + req.profileName +
                        "'");
@@ -551,79 +364,49 @@ struct ServeServer::Impl
         const SubmitRequest &req = w.submit;
 
         SimSummary summary;
-        bool ok = false, timed_out = false, abandoned = false;
-        ErrorKind fail_kind = ErrorKind::Worker;
-        std::string fail_msg;
-
+        std::optional<Error> err;
         for (unsigned attempt = 0;; ++attempt) {
-            if (!s.alive() ||
-                s.state.load(std::memory_order_acquire) !=
-                    SessionState::Ready) {
-                abandoned = true;
+            if (s.state.load(std::memory_order_acquire) !=
+                SessionState::Ready) {
+                err = makeError(ErrorKind::Cancelled, "session closed");
                 break;
             }
-            try {
+            err = catchAsError([&] {
                 CancelToken token;
                 maybeInjectCellFault(
                     static_cast<std::size_t>(req.segmentId), attempt,
                     token);
-                std::unique_ptr<MpSimulator> sim =
-                    pool.acquire(w.profile, req.job);
-                Clock::time_point start = Clock::now();
-                const TraceRecord *p = req.records.data();
-                std::size_t left = req.records.size();
-                while (left > 0) {
-                    std::size_t chunk =
-                        std::min<std::size_t>(left, 8192);
-                    sim->runBatch(p, chunk);
-                    p += chunk;
-                    left -= chunk;
-                    if (opt.segmentDeadline > 0.0 &&
-                        secondsSince(start) > opt.segmentDeadline)
-                        throw ErrorException(makeError(
-                            ErrorKind::Timeout,
-                            "segment deadline of ",
-                            opt.segmentDeadline, " s exceeded"));
-                    if (!s.alive())
-                        throw ErrorException(makeError(
-                            ErrorKind::Cancelled,
-                            "client went away mid-segment"));
-                }
-                summary = summarizeSimulation(*sim, req.job);
-                sim.reset(); // dirty: never reuse
-                pool.restock(w.profile, req.job);
-                ok = true;
-            } catch (const FaultUnrecoverable &e) {
-                // A simulated machine check is deterministic for the
-                // segment; retrying replays the same strike.
-                fail_kind = ErrorKind::Unrecoverable;
-                fail_msg = e.err().message;
+                // The deadline clock starts once the machine is built.
+                Clock::time_point start;
+                summary = replaySimulation(
+                    w.profile, req.job, req.records.data(),
+                    req.records.size(), [&](std::size_t done) {
+                        if (done == 0)
+                            start = Clock::now();
+                        else if (opt.segmentDeadline > 0.0 &&
+                                 secondsSince(start) >
+                                     opt.segmentDeadline)
+                            throw ErrorException(makeError(
+                                ErrorKind::Timeout,
+                                "segment deadline of ",
+                                opt.segmentDeadline, " s exceeded"));
+                        if (!s.alive())
+                            throw ErrorException(makeError(
+                                ErrorKind::Cancelled,
+                                "client went away mid-segment"));
+                    });
+            });
+            // No retry for a gone client (Cancelled), a deadline that
+            // would expire again, or a simulated machine check, which
+            // is deterministic for the segment.
+            if (!err || err->kind == ErrorKind::Cancelled ||
+                err->kind == ErrorKind::Timeout ||
+                err->kind == ErrorKind::Unrecoverable ||
+                attempt >= opt.maxRetries)
                 break;
-            } catch (const ErrorException &e) {
-                fail_kind = e.err().kind;
-                fail_msg = e.err().message;
-                if (fail_kind == ErrorKind::Cancelled) {
-                    abandoned = true;
-                    break;
-                }
-                if (fail_kind == ErrorKind::Timeout) {
-                    timed_out = true;
-                    break;
-                }
-                if (attempt >= opt.maxRetries)
-                    break;
-                continue;
-            } catch (const std::exception &e) {
-                fail_kind = ErrorKind::Worker;
-                fail_msg = e.what();
-                if (attempt >= opt.maxRetries)
-                    break;
-                continue;
-            }
-            break;
         }
 
-        if (ok) {
+        if (!err) {
             // Index 0 keeps the line byte-comparable with batch
             // vrc-sim --summary output; the frame carries the id.
             ResultReply r{req.segmentId,
@@ -635,15 +418,15 @@ struct ServeServer::Impl
             bumpStat(&ServiceStats::segmentsCompleted);
             return;
         }
-        if (abandoned) {
+        if (err->kind == ErrorKind::Cancelled) {
             bumpStat(&ServiceStats::segmentsAbandoned);
             return;
         }
         sendFrame(s, encodeErrorReply(
             FrameType::Error,
-            ErrorReply{req.segmentId, fail_kind, fail_msg}));
+            ErrorReply{req.segmentId, err->kind, err->message}));
         bumpStat(&ServiceStats::segmentsFailed);
-        if (timed_out)
+        if (err->kind == ErrorKind::Timeout)
             bumpStat(&ServiceStats::segmentsTimedOut);
     }
 
@@ -652,38 +435,21 @@ struct ServeServer::Impl
     void
     acceptLoop()
     {
-        for (;;) {
-            pollfd fds[4];
-            nfds_t n = 0;
-            auto add = [&](int fd) {
-                if (fd >= 0) {
-                    fds[n].fd = fd;
-                    fds[n].events = POLLIN;
-                    fds[n].revents = 0;
-                    ++n;
-                }
-            };
-            add(drainPipe[0]);
-            add(signalWakeFd);
-            int unix_at = unixFd >= 0 ? static_cast<int>(n) : -1;
-            add(unixFd);
-            int tcp_at = tcpFd >= 0 ? static_cast<int>(n) : -1;
-            add(tcpFd);
-
-            int pr = ::poll(fds, n, 200);
-            if (pr < 0 && errno != EINTR)
-                break;
-            if (shutdownRequested() > 0 || drainFlagged())
-                break;
-            if (pr > 0) {
-                if (unix_at >= 0 && (fds[unix_at].revents & POLLIN))
-                    acceptOne(unixFd);
-                if (tcp_at >= 0 && (fds[tcp_at].revents & POLLIN))
-                    acceptOne(tcpFd);
+        auto adopt = [this](int fd) {
+            auto s = std::make_shared<Session>(fd, opt.maxFrameBytes);
+            {
+                std::lock_guard<std::mutex> g(sessMu);
+                s->id = nextSessionId++;
+                sessions.push_back(s);
             }
+            bumpStat(&ServiceStats::sessionsAccepted);
+            s->reader = std::thread([this, s] { readerLoop(s); });
+        };
+        while (listener.accept(200, adopt, {drainPipe[0], signalWakeFd}) &&
+               shutdownRequested() == 0 && !drainFlagged())
             reapDeadSessions();
-        }
         beginDrain();
+        listener.close();
     }
 
     bool
@@ -691,24 +457,6 @@ struct ServeServer::Impl
     {
         std::lock_guard<std::mutex> g(qMu);
         return draining;
-    }
-
-    void
-    acceptOne(int listener)
-    {
-        int fd = acceptRetryFd(listener);
-        if (fd < 0)
-            return;
-        auto s = std::make_shared<Session>();
-        s->fd = fd;
-        s->frames = FrameReader(opt.maxFrameBytes);
-        {
-            std::lock_guard<std::mutex> g(sessMu);
-            s->id = nextSessionId++;
-            sessions.push_back(s);
-        }
-        bumpStat(&ServiceStats::sessionsAccepted);
-        s->reader = std::thread([this, s] { readerLoop(s); });
     }
 
     /**
@@ -739,8 +487,6 @@ struct ServeServer::Impl
         for (auto &s : dead) {
             if (s->reader.joinable())
                 s->reader.join();
-            ::close(s->fd);
-            s->fd = -1;
             std::lock_guard<std::mutex> g(statsMu);
             ++sessionsReaped;
         }
@@ -754,22 +500,12 @@ struct ServeServer::Impl
             draining = true;
         }
         qCv.notify_all();
-        if (unixFd >= 0) {
-            ::close(unixFd);
-            unixFd = -1;
-            ::unlink(opt.unixPath.c_str());
-        }
-        if (tcpFd >= 0) {
-            ::close(tcpFd);
-            tcpFd = -1;
-        }
     }
 };
 
 ServeServer::ServeServer(ServeOptions opt)
-    : _impl(std::make_unique<Impl>())
+    : _impl(std::make_unique<Impl>(std::move(opt)))
 {
-    _impl->opt = std::move(opt);
 }
 
 ServeServer::~ServeServer()
@@ -794,7 +530,8 @@ ServeServer::start()
         return makeError(ErrorKind::Io, "pipe: ",
                          std::strerror(errno));
     im.signalWakeFd = installShutdownHandlers();
-    Status bound = im.bindListeners();
+    Status bound =
+        im.listener.bind(im.opt.unixPath, im.opt.tcpPort, "serve");
     if (!bound)
         return bound;
     unsigned workers = im.opt.workers ? im.opt.workers : 2;
@@ -833,14 +570,9 @@ ServeServer::waitUntilDrained()
         im.sendFrame(*s, bye);
         im.closeSession(*s);
     }
-    for (auto &s : all) {
+    for (auto &s : all)
         if (s->reader.joinable())
             s->reader.join();
-        if (s->fd >= 0) {
-            ::close(s->fd);
-            s->fd = -1;
-        }
-    }
     im.started.store(false);
 
     int sig = shutdownSignal();
@@ -858,11 +590,7 @@ void
 ServeServer::requestDrain()
 {
     Impl &im = *_impl;
-    {
-        std::lock_guard<std::mutex> g(im.qMu);
-        im.draining = true;
-    }
-    im.qCv.notify_all();
+    im.beginDrain();
     if (im.drainPipe[1] >= 0) {
         // Best-effort wake, but don't let a signal eat it: a dropped
         // byte would stall the drain until the next poll timeout.
@@ -877,7 +605,7 @@ ServeServer::requestDrain()
 int
 ServeServer::tcpPort() const
 {
-    return _impl->boundTcpPort;
+    return _impl->listener.tcpPort();
 }
 
 ServiceStats
@@ -886,8 +614,7 @@ ServeServer::stats() const
     Impl &im = *_impl;
     std::lock_guard<std::mutex> g(im.statsMu);
     ServiceStats s = im.st;
-    s.poolHits = im.pool.hits();
-    s.poolMisses = im.pool.misses();
+    s.quarantinedClients = im.book.quarantinedNames();
     return s;
 }
 
@@ -925,12 +652,10 @@ ServeServer::manifestJson(bool drained, int signal) const
        << "},\"faults\":{"
        << "\"responses_dropped\":" << s.responsesDropped
        << ",\"responses_torn\":" << s.responsesTorn
-       << "},\"pool\":{\"hits\":" << s.poolHits
-       << ",\"misses\":" << s.poolMisses
        << "},\"quarantined_clients\":[";
     for (std::size_t i = 0; i < s.quarantinedClients.size(); ++i)
         os << (i ? "," : "") << '"'
-           << jsonEscapeName(s.quarantinedClients[i]) << '"';
+           << jsonEscapeText(s.quarantinedClients[i]) << '"';
     os << "]}";
     return os.str();
 }

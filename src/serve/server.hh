@@ -1,41 +1,27 @@
 /**
  * @file
- * Long-running multi-tenant simulation service (vrc-sim --serve).
+ * Long-running multi-tenant simulation service (vrc-sim --serve,
+ * DESIGN.md section 13).
  *
  * Many concurrent clients stream trace segments over the framed wire
- * protocol (wire.hh) on a unix socket and/or localhost TCP; the
- * server multiplexes them onto a pool of worker threads drawing
- * warmed simulators from a SimulatorPool, and streams back each
- * segment's stats as the campaign journal's hexfloat summary line --
+ * protocol (wire.hh) on a unix socket and/or localhost TCP; worker
+ * threads replay each segment on a freshly built simulator and stream
+ * back its stats as the campaign journal's hexfloat summary line --
  * bit-identical to running the same segment through batch vrc-sim.
  *
- * Robustness is the design center, reusing the batch campaign's
- * failure machinery in a serving shape:
- *
  *  - Per-session state machine with validating frame decode: a
- *    malformed frame (bad magic, oversized payload, garbage body)
- *    poisons only that session -- the socket is closed, the offense
- *    is counted, and every other client keeps streaming.
- *  - Bounded admission: a per-client in-flight cap and a global
- *    queue cap; work beyond either bound is refused with an explicit
- *    SHED frame (backpressure the client can see), never queued
- *    without limit.
- *  - Per-segment deadlines: replay runs in cancellable chunks and a
- *    segment that exceeds the deadline is cut off with a Timeout
- *    error, exactly like a campaign cell hitting its watchdog.
- *  - Bounded retry + quarantine: transient failures (including
- *    injected ones) are retried like campaign cells; clients whose
- *    sessions keep getting poisoned are quarantined by name and
- *    refused at HELLO.
+ *    malformed frame poisons only that session (socket closed, offense
+ *    counted); clients whose sessions keep getting poisoned are
+ *    quarantined by name and refused at HELLO (serve/conn.hh).
+ *  - Bounded admission: a per-client in-flight cap and a global queue
+ *    cap; work beyond either bound is refused with a SHED frame.
+ *  - Per-segment deadline checked between replay chunks (a Timeout
+ *    error, not retried), and bounded retry of transient failures.
  *  - Graceful drain: the first SIGINT/SIGTERM (or requestDrain())
- *    stops accepting connections and admitting segments, finishes
- *    everything in flight, flushes the service manifest atomically,
- *    and exits with the documented interrupted code; the second
- *    signal hard-exits.
- *  - Deterministic fault injection on the service path itself
- *    (--inject-faults drop=/tear=): responses are dropped or torn on
- *    a pure (seed, session, sequence) hash so the soak script can
- *    prove clients survive a flaky server.
+ *    stops admission, finishes everything in flight, writes the
+ *    service manifest atomically and exits with the interrupted code.
+ *  - Deterministic fault injection on responses (--inject-faults
+ *    drop=/tear=) so the soak script proves clients survive it.
  */
 
 #ifndef VRC_SERVE_SERVER_HH
@@ -103,9 +89,6 @@ enum class SessionState : std::uint8_t
     Closed,     ///< clean close (BYE, EOF, drain)
 };
 
-/** Printable session-state name. */
-const char *sessionStateName(SessionState s);
-
 /** Counters for the service manifest and the soak checks. */
 struct ServiceStats
 {
@@ -120,6 +103,10 @@ struct ServiceStats
     std::uint64_t segmentsAbandoned = 0; ///< client gone mid-segment
     std::uint64_t responsesDropped = 0;  ///< injected connection drops
     std::uint64_t responsesTorn = 0;     ///< injected torn frames
+    /**
+     * Always 0: the warmed simulator pool is gone (DESIGN.md §13), but
+     * benchmark tooling still reads these two fields.
+     */
     std::uint64_t poolHits = 0;
     std::uint64_t poolMisses = 0;
     std::vector<std::string> quarantinedClients;

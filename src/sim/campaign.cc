@@ -24,24 +24,6 @@ namespace
 
 constexpr const char *journalMagicLine = "vrc-campaign-checkpoint v1";
 
-std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h = (h ^ (v & 0xFF)) * 0x100000001b3ull;
-        v >>= 8;
-    }
-    return h;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &s)
-{
-    for (char c : s)
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    return h;
-}
-
 bool
 parseU64(const std::string &tok, std::uint64_t &out)
 {
@@ -58,42 +40,12 @@ parseDouble(const std::string &tok, double &out)
     return end && *end == '\0' && !tok.empty();
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::ostringstream os;
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << ' ';
-            else
-                os << c;
-        }
-    }
-    return os.str();
-}
-
 /** Outcome of one cell attempt. */
 struct AttemptOutcome
 {
-    bool ok = false;
-    bool timedOut = false;
-    ErrorKind kind = ErrorKind::Worker;
+    std::optional<Error> error; ///< empty = success
+    bool timedOut = false;      ///< the watchdog fired
     SimSummary summary;
-    std::string error;
 };
 
 /** Shared state between a watchdogged attempt thread and its waiter. */
@@ -105,28 +57,6 @@ struct AttemptState
     AttemptOutcome out;
     CancelToken token;
 };
-
-/** Invoke the cell body, mapping every throw onto the taxonomy. */
-template <typename Invoke>
-AttemptOutcome
-invokeGuarded(Invoke &&invoke, const CancelToken &token)
-{
-    AttemptOutcome out;
-    try {
-        out.summary = invoke(token);
-        out.ok = true;
-    } catch (const ErrorException &e) {
-        out.kind = e.err().kind;
-        out.error = e.err().message;
-    } catch (const std::exception &e) {
-        out.kind = ErrorKind::Worker;
-        out.error = e.what();
-    } catch (...) {
-        out.kind = ErrorKind::Worker;
-        out.error = "unknown exception";
-    }
-    return out;
-}
 
 } // namespace
 
@@ -229,23 +159,45 @@ decodeSummaryLine(const std::string &line)
     return std::make_pair(static_cast<std::size_t>(idx), s);
 }
 
+double
+ResilienceOptions::backoffBefore(unsigned retry) const
+{
+    return std::min(backoffSeconds *
+                        static_cast<double>(std::uint64_t{1}
+                                            << std::min(retry, 20u)),
+                    kBackoffCapSeconds);
+}
+
+std::uint64_t
+hashWorkloadJobs(const TraceBundle &bundle, const SimJob *jobs,
+                 std::size_t n)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto word = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i, v >>= 8)
+            h = (h ^ (v & 0xFF)) * 0x100000001b3ull;
+    };
+    for (char c : bundle.profile.name)
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    word(bundle.profile.seed);
+    word(bundle.records.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        const SimJob &j = jobs[i];
+        word(static_cast<std::uint64_t>(j.kind));
+        word(j.l1Size);
+        word(j.l2Size);
+        word(j.split ? 1 : 0);
+        word(j.invariantPeriod);
+        word(static_cast<std::uint64_t>(j.timingMode));
+    }
+    return h;
+}
+
 std::string
 campaignKey(const TraceBundle &bundle, const std::vector<SimJob> &jobs)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, bundle.profile.name);
-    h = fnv1a(h, bundle.profile.seed);
-    h = fnv1a(h, bundle.records.size());
-    for (const SimJob &j : jobs) {
-        h = fnv1a(h, static_cast<std::uint64_t>(j.kind));
-        h = fnv1a(h, j.l1Size);
-        h = fnv1a(h, j.l2Size);
-        h = fnv1a(h, j.split ? 1 : 0);
-        h = fnv1a(h, j.invariantPeriod);
-        h = fnv1a(h, static_cast<std::uint64_t>(j.timingMode));
-    }
     std::ostringstream os;
-    os << std::hex << h;
+    os << std::hex << hashWorkloadJobs(bundle, jobs.data(), jobs.size());
     return os.str();
 }
 
@@ -254,39 +206,46 @@ CampaignRunner::CampaignRunner(CampaignOptions opt)
 {
 }
 
-Result<JournalContents>
-tryLoadJournal(std::istream &in, const std::string &context)
+Status
+mergeJournal(std::istream &in, const std::string &context,
+             JournalContents &j)
 {
-    JournalContents j;
-    std::string line;
+    std::string line, key, kw1, kw2;
+    std::uint64_t cells = 0;
     if (!std::getline(in, line) || line != journalMagicLine)
         return makeErrorAt(ErrorKind::Mismatch, context, 1,
                            "not a vrc campaign checkpoint journal");
-    std::uint64_t lineno = 1;
     if (!std::getline(in, line))
         return makeErrorAt(ErrorKind::Mismatch, context, 2,
                            "checkpoint journal missing its key line");
-    ++lineno;
-    {
-        std::istringstream ls(line);
-        std::string kw1, kw2;
-        std::uint64_t cells = 0;
-        if (!(ls >> kw1 >> j.key >> kw2 >> cells) || kw1 != "key" ||
-            kw2 != "cells")
-            return makeErrorAt(ErrorKind::Mismatch, context, 2,
-                               "malformed checkpoint key line");
-        if (cells > (std::uint64_t{1} << 24))
-            return makeErrorAt(ErrorKind::Bounds, context, 2,
-                               "implausible checkpoint cell count ",
-                               cells);
+    std::istringstream ls(line);
+    if (!(ls >> kw1 >> key >> kw2 >> cells) || kw1 != "key" ||
+        kw2 != "cells")
+        return makeErrorAt(ErrorKind::Mismatch, context, 2,
+                           "malformed checkpoint key line");
+    if (cells > (std::uint64_t{1} << 24))
+        return makeErrorAt(ErrorKind::Bounds, context, 2,
+                           "implausible checkpoint cell count ", cells);
+    if (j.inputs.empty()) {
+        j.key = key;
         j.cells = static_cast<std::size_t>(cells);
+        j.present.assign(j.cells, false);
+        j.summaries.resize(j.cells);
+        j.lines.resize(j.cells);
+        j.firstLine.assign(j.cells, 0);
+        j.input.assign(j.cells, 0);
+    } else if (key != j.key) {
+        return makeErrorAt(ErrorKind::Mismatch, context, 2,
+                           "journal belongs to campaign ", key, " but ",
+                           j.inputs[0], " is campaign ", j.key);
+    } else if (cells != j.cells) {
+        return makeErrorAt(ErrorKind::Mismatch, context, 2,
+                           "journal has ", cells, " cells but ",
+                           j.inputs[0], " has ", j.cells);
     }
-    j.present.assign(j.cells, false);
-    j.summaries.resize(j.cells);
-    j.lines.resize(j.cells);
-    j.firstLine.assign(j.cells, 0);
-    while (std::getline(in, line)) {
-        ++lineno;
+    const std::size_t me = j.inputs.size();
+    j.inputs.push_back(context);
+    for (std::uint64_t lineno = 3; std::getline(in, line); ++lineno) {
         if (line.empty())
             continue;
         Result<std::pair<std::size_t, SimSummary>> cell =
@@ -315,17 +274,33 @@ tryLoadJournal(std::istream &in, const std::string &context)
             // them is wrong, and guessing (last-writer-wins) would
             // silently corrupt the merged table. Hard error, both
             // locations named.
-            return makeErrorAt(
-                ErrorKind::Mismatch, context, lineno,
-                "conflicting summaries for cell ", idx,
-                " (disagrees with line ", j.firstLine[idx],
-                " of the same journal)");
+            if (j.input[idx] == me)
+                return makeErrorAt(
+                    ErrorKind::Mismatch, context, lineno,
+                    "conflicting summaries for cell ", idx,
+                    " (disagrees with line ", j.firstLine[idx],
+                    " of the same journal)");
+            return makeErrorAt(ErrorKind::Mismatch, context, lineno,
+                               "conflicting summaries for cell ", idx,
+                               " (disagrees with ", j.inputs[j.input[idx]],
+                               ":", j.firstLine[idx], ")");
         }
         j.present[idx] = true;
         j.summaries[idx] = s;
         j.lines[idx] = line;
         j.firstLine[idx] = lineno;
+        j.input[idx] = me;
     }
+    return okStatus();
+}
+
+Result<JournalContents>
+tryLoadJournal(std::istream &in, const std::string &context)
+{
+    JournalContents j;
+    Status loaded = mergeJournal(in, context, j);
+    if (!loaded)
+        return loaded.error();
     return j;
 }
 
@@ -341,40 +316,94 @@ canonicalJournalText(const JournalContents &j)
     return os.str();
 }
 
-namespace
-{
-
-/** Restore completed cells from an existing journal. */
 Status
-parseJournal(std::istream &in, const std::string &path,
-             const std::string &key, std::size_t n,
-             CampaignResult &res)
+CheckpointJournal::open(const ResilienceOptions &opt,
+                        const std::string &key, CampaignResult &res)
 {
-    Result<JournalContents> loaded = tryLoadJournal(in, path);
-    if (!loaded)
-        return loaded.error();
-    const JournalContents &j = loaded.value();
-    if (j.key != key)
-        return makeErrorAt(
-            ErrorKind::Mismatch, path, 2,
-            "checkpoint belongs to a different campaign (key ",
-            j.key, ", this campaign is ", key, ")");
-    if (j.cells != n)
-        return makeErrorAt(
-            ErrorKind::Mismatch, path, 2,
-            "checkpoint cell count ", j.cells,
-            " does not match this campaign (", n, " cells)");
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!j.present[i])
-            continue;
-        res.completed[i] = true;
-        res.summaries[i] = j.summaries[i];
-        ++res.restored;
+    const std::size_t n = res.completed.size();
+    _path = opt.checkpoint;
+    _manifest = opt.manifest;
+    _book.key = key;
+    _book.cells = n;
+    _book.present.assign(n, false);
+    _book.lines.assign(n, std::string());
+    if (_path.empty())
+        return okStatus();
+
+    bool append = false;
+    if (opt.resume) {
+        std::ifstream in(_path);
+        if (in) {
+            Result<JournalContents> loaded = tryLoadJournal(in, _path);
+            if (!loaded)
+                return loaded.error();
+            const JournalContents &j = loaded.value();
+            if (j.key != key)
+                return makeErrorAt(
+                    ErrorKind::Mismatch, _path, 2,
+                    "checkpoint belongs to a different campaign (key ",
+                    j.key, ", this campaign is ", key, ")");
+            if (j.cells != n)
+                return makeErrorAt(
+                    ErrorKind::Mismatch, _path, 2,
+                    "checkpoint cell count ", j.cells,
+                    " does not match this campaign (", n, " cells)");
+            for (std::size_t i = 0; i < n; ++i) {
+                if (!j.present[i])
+                    continue;
+                res.completed[i] = true;
+                res.summaries[i] = j.summaries[i];
+                ++res.restored;
+            }
+            _book = loaded.take();
+            append = true;
+        }
+    }
+    _file.open(_path, append ? std::ios::app : std::ios::trunc);
+    if (!_file)
+        return makeError(ErrorKind::Io,
+                         "cannot open checkpoint journal for writing: ",
+                         _path);
+    if (!append) {
+        _file << journalMagicLine << "\nkey " << key << " cells " << n
+              << "\n";
+        _file.flush();
     }
     return okStatus();
 }
 
-} // namespace
+void
+CheckpointJournal::append(std::size_t idx, std::string line)
+{
+    if (_file.is_open()) {
+        _file << line << "\n";
+        _file.flush();
+    }
+    _book.present[idx] = true;
+    _book.lines[idx] = std::move(line);
+}
+
+void
+CheckpointJournal::finish(const CampaignResult &res)
+{
+    if (_file.is_open()) {
+        _file.close();
+        if (!res.interrupted) {
+            Status rewrote =
+                writeFileAtomic(_path, canonicalJournalText(_book));
+            if (!rewrote)
+                warn("cannot canonicalize checkpoint journal ", _path,
+                     ": ", rewrote.error().message);
+        }
+    }
+    if (!_manifest.empty()) {
+        Status wrote = writeFileAtomic(
+            _manifest, failureManifestToJson(res) + "\n");
+        if (!wrote)
+            warn("cannot write failure manifest ", _manifest, ": ",
+                 wrote.error().message);
+    }
+}
 
 Result<CampaignResult>
 CampaignRunner::run(std::size_t n, const std::string &key,
@@ -384,32 +413,10 @@ CampaignRunner::run(std::size_t n, const std::string &key,
     res.summaries.resize(n);
     res.completed.assign(n, false);
 
-    std::ofstream journal;
-    if (!_opt.checkpoint.empty()) {
-        bool append = false;
-        if (_opt.resume) {
-            std::ifstream in(_opt.checkpoint);
-            if (in) {
-                Status loaded =
-                    parseJournal(in, _opt.checkpoint, key, n, res);
-                if (!loaded)
-                    return loaded.error();
-                append = true;
-            }
-        }
-        journal.open(_opt.checkpoint,
-                     append ? std::ios::app : std::ios::trunc);
-        if (!journal)
-            return makeError(ErrorKind::Io,
-                             "cannot open checkpoint journal for "
-                             "writing: ",
-                             _opt.checkpoint);
-        if (!append) {
-            journal << journalMagicLine << "\nkey " << key
-                    << " cells " << n << "\n";
-            journal.flush();
-        }
-    }
+    CheckpointJournal journal;
+    Status opened = journal.open(_opt, key, res);
+    if (!opened)
+        return opened.error();
 
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < n; ++i)
@@ -422,18 +429,22 @@ CampaignRunner::run(std::size_t n, const std::string &key,
     // One attempt of one cell, under the watchdog when configured.
     auto attempt = [&](std::size_t idx,
                        unsigned attempt_no) -> AttemptOutcome {
-        auto invoke = [&fn, idx,
-                       attempt_no](const CancelToken &tok) {
-            maybeInjectCellFault(idx, attempt_no, tok);
-            return fn(idx, tok);
+        // The cell body, every throw mapped onto the taxonomy.
+        auto invoke = [&fn, idx, attempt_no](const CancelToken &tok) {
+            AttemptOutcome out;
+            out.error = catchAsError([&] {
+                maybeInjectCellFault(idx, attempt_no, tok);
+                out.summary = fn(idx, tok);
+            });
+            return out;
         };
         if (_opt.deadlineSeconds <= 0.0) {
             CancelToken token;
-            return invokeGuarded(invoke, token);
+            return invoke(token);
         }
         auto st = std::make_shared<AttemptState>();
         std::thread th([st, invoke] {
-            AttemptOutcome out = invokeGuarded(invoke, st->token);
+            AttemptOutcome out = invoke(st->token);
             {
                 std::lock_guard<std::mutex> g(st->mu);
                 st->out = std::move(out);
@@ -461,11 +472,8 @@ CampaignRunner::run(std::size_t n, const std::string &key,
         }
         AttemptOutcome out;
         out.timedOut = true;
-        out.kind = ErrorKind::Timeout;
-        std::ostringstream os;
-        os << "watchdog: deadline of " << _opt.deadlineSeconds
-           << " s exceeded";
-        out.error = os.str();
+        out.error = makeError(ErrorKind::Timeout, "watchdog: deadline of ",
+                              _opt.deadlineSeconds, " s exceeded");
         return out;
     };
 
@@ -482,27 +490,20 @@ CampaignRunner::run(std::size_t n, const std::string &key,
         for (unsigned a = 0;; ++a) {
             fail.attempts = a + 1;
             AttemptOutcome out = attempt(idx, a);
-            if (out.ok) {
+            if (!out.error) {
                 std::lock_guard<std::mutex> g(mu);
                 res.summaries[idx] = std::move(out.summary);
                 res.completed[idx] = true;
-                if (journal.is_open()) {
-                    journal << encodeSummaryLine(idx,
-                                                 res.summaries[idx])
-                            << "\n";
-                    journal.flush();
-                }
+                journal.append(idx,
+                               encodeSummaryLine(idx, res.summaries[idx]));
                 return;
             }
             fail.timedOut = out.timedOut;
-            fail.kind = out.kind;
-            fail.error = out.error;
+            fail.kind = out.error->kind;
+            fail.error = out.error->message;
             if (a >= _opt.maxRetries)
                 break;
-            double backoff = _opt.backoffSeconds *
-                             static_cast<double>(
-                                 std::uint64_t{1} << std::min(a, 20u));
-            backoff = std::min(backoff, _opt.backoffCapSeconds);
+            double backoff = _opt.backoffBefore(a);
             warn("cell ", idx, " attempt ", a + 1, " failed (",
                  fail.error, "); retrying in ", backoff, " s");
             std::this_thread::sleep_for(
@@ -525,38 +526,7 @@ CampaignRunner::run(std::size_t n, const std::string &key,
 
     res.interrupted = shutdownRequested() > 0;
 
-    // A finished (non-interrupted) run rewrites its journal in
-    // canonical form: header + completed cells in index order. The
-    // append-ordered journal depends on worker scheduling; the
-    // canonical bytes depend only on WHAT completed, so any two runs
-    // of the same grid -- sharded, resumed, or straight through --
-    // end with byte-identical journals. writeFileAtomic keeps the
-    // crash-safety story: a kill mid-rewrite leaves the old journal.
-    if (journal.is_open() && !res.interrupted) {
-        journal.close();
-        JournalContents canon;
-        canon.key = key;
-        canon.cells = n;
-        canon.present = res.completed;
-        canon.lines.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            if (res.completed[i])
-                canon.lines[i] =
-                    encodeSummaryLine(i, res.summaries[i]);
-        Status rewrote = writeFileAtomic(_opt.checkpoint,
-                                         canonicalJournalText(canon));
-        if (!rewrote)
-            warn("cannot canonicalize checkpoint journal ",
-                 _opt.checkpoint, ": ", rewrote.error().message);
-    }
-
-    if (!_opt.manifest.empty()) {
-        Status wrote = writeFileAtomic(
-            _opt.manifest, failureManifestToJson(res) + "\n");
-        if (!wrote)
-            warn("cannot write failure manifest ", _opt.manifest,
-                 ": ", wrote.error().message);
-    }
+    journal.finish(res);
     return res;
 }
 
@@ -573,6 +543,28 @@ runSimulationCampaign(const TraceBundle &bundle,
         });
 }
 
+namespace
+{
+
+/** The quarantine list as a JSON array; the manifest adds each kind. */
+void
+quarantineJson(std::ostream &os, const CampaignResult &r, bool kinds)
+{
+    os << '[';
+    for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
+        const CellFailure &f = r.quarantined[i];
+        os << (i ? "," : "") << "{\"cell\":" << f.index
+           << ",\"attempts\":" << f.attempts << ",\"timed_out\":"
+           << (f.timedOut ? "true" : "false");
+        if (kinds)
+            os << ",\"kind\":\"" << errorKindName(f.kind) << '"';
+        os << ",\"error\":\"" << jsonEscapeText(f.error) << "\"}";
+    }
+    os << ']';
+}
+
+} // namespace
+
 std::string
 failureManifestToJson(const CampaignResult &r)
 {
@@ -580,16 +572,9 @@ failureManifestToJson(const CampaignResult &r)
     os << "{\"cells\":" << r.completed.size()
        << ",\"completed\":" << r.completedCells()
        << ",\"interrupted\":" << (r.interrupted ? "true" : "false")
-       << ",\"quarantined\":[";
-    for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
-        const CellFailure &f = r.quarantined[i];
-        os << (i ? "," : "") << "{\"cell\":" << f.index
-           << ",\"attempts\":" << f.attempts << ",\"timed_out\":"
-           << (f.timedOut ? "true" : "false") << ",\"kind\":\""
-           << errorKindName(f.kind) << "\",\"error\":\""
-           << jsonEscape(f.error) << "\"}";
-    }
-    os << "]}";
+       << ",\"quarantined\":";
+    quarantineJson(os, r, true);
+    os << "}";
     return os.str();
 }
 
@@ -610,15 +595,9 @@ campaignResultToJson(const CampaignResult &r)
         os << "{\"cell\":" << i
            << ",\"summary\":" << toJson(r.summaries[i]) << "}";
     }
-    os << "],\"quarantined\":[";
-    for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
-        const CellFailure &f = r.quarantined[i];
-        os << (i ? "," : "") << "{\"cell\":" << f.index
-           << ",\"attempts\":" << f.attempts << ",\"timed_out\":"
-           << (f.timedOut ? "true" : "false") << ",\"error\":\""
-           << jsonEscape(f.error) << "\"}";
-    }
-    os << "]}";
+    os << "],\"quarantined\":";
+    quarantineJson(os, r, false);
+    os << "}";
     return os.str();
 }
 

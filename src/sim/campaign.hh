@@ -27,6 +27,8 @@
  *    while every healthy cell completes; the result JSON carries the
  *    partial table plus the casualty list.
  *
+ * The journal (CheckpointJournal) and the retry policy
+ * (ResilienceOptions) are shared with the shard coordinator (shard.hh).
  * Fault injection (base/fault.hh, -DVRC_FAULTS=ON) hooks each attempt
  * so all of the above is exercised in CI rather than trusted on faith.
  */
@@ -34,7 +36,9 @@
 #ifndef VRC_SIM_CAMPAIGN_HH
 #define VRC_SIM_CAMPAIGN_HH
 
+#include <algorithm>
 #include <cstddef>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -46,25 +50,37 @@
 namespace vrc
 {
 
-/** Resilience policy for one campaign. */
-struct CampaignOptions
+/** Retry backoff ceiling. */
+inline constexpr double kBackoffCapSeconds = 2.0;
+
+/** The resilience policy --sweep and --coordinate share. */
+struct ResilienceOptions
 {
     /** Journal path; empty disables checkpointing. */
     std::string checkpoint;
     /** Load the journal and skip already-completed cells. */
     bool resume = false;
-    /** Per-attempt wall-clock deadline in seconds; 0 = no watchdog. */
+    /**
+     * Wall-clock deadline in seconds, 0 = none: per attempt for a
+     * campaign, per assignment's quiet time for the coordinator.
+     */
     double deadlineSeconds = 0.0;
     /** Retries after the first failed attempt. */
     unsigned maxRetries = 0;
-    /** First retry backoff; doubles per retry. */
+    /** First retry backoff; doubles per retry up to the cap. */
     double backoffSeconds = 0.05;
-    /** Backoff ceiling. */
-    double backoffCapSeconds = 2.0;
-    /** Worker threads; 0 = ParallelRunner::defaultJobs(). */
-    unsigned jobs = 0;
     /** Failure manifest path; empty = don't write one. */
     std::string manifest;
+
+    /** The wait before retry number @p retry (0 = the first). */
+    double backoffBefore(unsigned retry) const;
+};
+
+/** Resilience policy for one campaign. */
+struct CampaignOptions : ResilienceOptions
+{
+    /** Worker threads; 0 = ParallelRunner::defaultJobs(). */
+    unsigned jobs = 0;
 };
 
 /** One quarantined cell in the failure manifest. */
@@ -102,10 +118,8 @@ struct CampaignResult
     std::size_t
     completedCells() const
     {
-        std::size_t n = 0;
-        for (bool c : completed)
-            n += c;
-        return n;
+        return static_cast<std::size_t>(
+            std::count(completed.begin(), completed.end(), true));
     }
 };
 
@@ -137,6 +151,14 @@ class CampaignRunner
   private:
     CampaignOptions _opt;
 };
+
+/**
+ * FNV-1a over the workload identity (profile name, seed, record count)
+ * followed by the knobs of @p n jobs. campaignKey() hashes the whole
+ * grid, shardCellId() a single job.
+ */
+std::uint64_t hashWorkloadJobs(const TraceBundle &bundle,
+                               const SimJob *jobs, std::size_t n);
 
 /** Key for a simulation campaign: workload identity + job list. */
 std::string campaignKey(const TraceBundle &bundle,
@@ -172,9 +194,10 @@ Result<std::pair<std::size_t, SimSummary>>
 decodeSummaryLine(const std::string &line);
 
 /**
- * Decoded contents of one checkpoint journal, possibly partial. The
- * verbatim cell-line bytes ride along with the decoded summaries so
- * merge tools can compare and re-emit lines without a re-encode.
+ * Decoded contents of one checkpoint journal (or the union of
+ * several), possibly partial. The verbatim cell-line bytes ride along
+ * with the decoded summaries so merge tools can compare and re-emit
+ * lines without a re-encode.
  */
 struct JournalContents
 {
@@ -184,27 +207,32 @@ struct JournalContents
     std::vector<SimSummary> summaries;
     std::vector<std::string> lines;   ///< verbatim line per cell
     std::vector<std::uint64_t> firstLine; ///< 1-based line of first copy
+    std::vector<std::size_t> input;   ///< per cell: inputs[] of first copy
+    std::vector<std::string> inputs;  ///< contexts of the loaded journals
     std::size_t torn = 0;       ///< corrupt/torn lines skipped
     std::size_t duplicates = 0; ///< byte-identical repeats tolerated
 
     std::size_t
     completedCells() const
     {
-        std::size_t n = 0;
-        for (bool p : present)
-            n += p;
-        return n;
+        return static_cast<std::size_t>(
+            std::count(present.begin(), present.end(), true));
     }
 };
 
 /**
- * Validating journal loader shared by resume, the shard coordinator
- * and vrc-merge. Torn tail lines (a crash mid-append) are skipped
- * with a warning; a duplicate cell line that is byte-identical to the
- * first copy is tolerated; a duplicate whose bytes DISAGREE is a hard
- * Mismatch error carrying @p context and both line numbers -- never
- * last-writer-wins.
+ * The validating journal loader behind resume, the shard coordinator
+ * and vrc-merge: fold the journal in @p in, named @p context, into
+ * @p into. The first journal sets key and cell count; later ones must
+ * match them. Torn tail lines (a crash mid-append) are skipped with a
+ * warning; a cell line byte-identical to the first copy is tolerated;
+ * one whose bytes DISAGREE is a hard Mismatch error ("conflicting
+ * summaries") naming both locations -- never last-writer-wins.
  */
+Status mergeJournal(std::istream &in, const std::string &context,
+                    JournalContents &into);
+
+/** mergeJournal() of a single journal. */
 Result<JournalContents> tryLoadJournal(std::istream &in,
                                        const std::string &context);
 
@@ -215,6 +243,48 @@ Result<JournalContents> tryLoadJournal(std::istream &in,
  * worker count or shard layout -- produce identical bytes.
  */
 std::string canonicalJournalText(const JournalContents &j);
+
+/**
+ * The checkpoint journal of one run, shared by CampaignRunner and
+ * ShardCoordinator. Keeps each completed cell's line (in memory even
+ * without a file) and appends+flushes new ones. Not thread-safe.
+ */
+class CheckpointJournal
+{
+  public:
+    /**
+     * Start the journal for campaign @p key over res.completed.size()
+     * cells. Under opt.resume an existing journal must match key and
+     * cell count (else Mismatch) and its cells are restored into
+     * @p res; otherwise the file is created with its header.
+     */
+    Status open(const ResilienceOptions &opt, const std::string &key,
+                CampaignResult &res);
+
+    /** Cell @p idx's accepted line (empty when it has none). */
+    const std::string &
+    line(std::size_t idx) const
+    {
+        return _book.lines[idx];
+    }
+
+    /** Record cell @p idx's line, appending it to the file. */
+    void append(std::size_t idx, std::string line);
+
+    /**
+     * Close out a run: unless @p res was interrupted, atomically
+     * rewrite the file as canonicalJournalText(), so any two runs that
+     * completed the same cells -- sharded, resumed or straight through
+     * -- end with identical bytes; then write the failure manifest.
+     */
+    void finish(const CampaignResult &res);
+
+  private:
+    std::string _path;
+    std::string _manifest;
+    JournalContents _book;
+    std::ofstream _file;
+};
 
 } // namespace vrc
 

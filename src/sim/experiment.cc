@@ -1,5 +1,6 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -68,37 +69,45 @@ runSimulation(const TraceBundle &bundle, HierarchyKind kind,
 }
 
 SimSummary
-runSimulationJob(const TraceBundle &bundle, const SimJob &job)
+replaySimulation(const WorkloadProfile &profile, const SimJob &job,
+                 const TraceRecord *records, std::size_t n,
+                 const ReplayPoll &poll)
 {
-    MachineConfig mc =
-        makeMachineConfig(job.kind, job.l1Size, job.l2Size,
-                          bundle.profile.pageSize, job.split);
+    MachineConfig mc = makeMachineConfig(job.kind, job.l1Size, job.l2Size,
+                                         profile.pageSize, job.split);
     mc.invariantPeriod = job.invariantPeriod;
     mc.timingMode = job.timingMode;
-    MpSimulator sim(mc, bundle.profile);
-    sim.run(bundle.records);
+    MpSimulator sim(mc, profile);
+    for (std::size_t done = 0;; done += kReplayChunk) {
+        if (poll)
+            poll(std::min(done, n));
+        if (done >= n)
+            break;
+        sim.runBatch(records + done, std::min(kReplayChunk, n - done));
+    }
     return summarizeSimulation(sim, job);
+}
+
+SimSummary
+runSimulationJob(const TraceBundle &bundle, const SimJob &job)
+{
+    return replaySimulation(bundle.profile, job, bundle.records.data(),
+                            bundle.records.size(), nullptr);
 }
 
 SimSummary
 runSimulationCancellable(const TraceBundle &bundle, const SimJob &job,
                          const CancelToken &token)
 {
-    MachineConfig mc =
-        makeMachineConfig(job.kind, job.l1Size, job.l2Size,
-                          bundle.profile.pageSize, job.split);
-    mc.invariantPeriod = job.invariantPeriod;
-    mc.timingMode = job.timingMode;
-    MpSimulator sim(mc, bundle.profile);
-    constexpr std::size_t pollMask = 0x1FFF; // every 8192 records
-    for (std::size_t i = 0; i < bundle.records.size(); ++i) {
-        if ((i & pollMask) == 0 && token.cancelled())
-            throw ErrorException(makeError(
-                ErrorKind::Cancelled, "simulation cancelled after ",
-                i, " of ", bundle.records.size(), " records"));
-        sim.step(bundle.records[i]);
-    }
-    return summarizeSimulation(sim, job);
+    const std::size_t n = bundle.records.size();
+    return replaySimulation(
+        bundle.profile, job, bundle.records.data(), n,
+        [&token, n](std::size_t done) {
+            if (token.cancelled())
+                throw ErrorException(makeError(
+                    ErrorKind::Cancelled, "simulation cancelled after ",
+                    done, " of ", n, " records"));
+        });
 }
 
 std::vector<SimSummary>

@@ -9,6 +9,7 @@
 #define VRC_SIM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -97,11 +98,30 @@ SimSummary runSimulationJob(const TraceBundle &bundle, const SimJob &job);
 SimSummary summarizeSimulation(const MpSimulator &sim,
                                const SimJob &job);
 
+/** Records replayed between two polls of a ReplayPoll. */
+inline constexpr std::size_t kReplayChunk = 8192;
+
 /**
- * runSimulation() with a cooperative cancellation point every few
- * thousand records: when the watchdog cancels @p token mid-replay,
- * the run unwinds with an ErrorException of kind Cancelled instead of
- * burning the rest of the trace. Used by the campaign engine.
+ * Called with the count of records replayed so far: before the first
+ * chunk, between chunks and after the last. Stops the replay by
+ * throwing.
+ */
+using ReplayPoll = std::function<void(std::size_t)>;
+
+/**
+ * The one replay loop behind every cell and served segment: build the
+ * machine for @p job, replay @p records through the devirtualized
+ * MpSimulator::runBatch() in kReplayChunk chunks, polling @p poll (may
+ * be empty) only at chunk boundaries, and summarize.
+ */
+SimSummary replaySimulation(const WorkloadProfile &profile,
+                            const SimJob &job, const TraceRecord *records,
+                            std::size_t n, const ReplayPoll &poll);
+
+/**
+ * runSimulationJob() that unwinds with an ErrorException of kind
+ * Cancelled at the first chunk boundary after @p token is cancelled
+ * (before any record when it already is). Used by the campaign engine.
  */
 SimSummary runSimulationCancellable(const TraceBundle &bundle,
                                     const SimJob &job,

@@ -118,4 +118,19 @@ toJson(const MpSimulator &sim)
     return os.str();
 }
 
+std::string
+jsonEscapeText(const std::string &s)
+{
+    std::string out;
+    for (char c : s) {
+        if (c == '"' || c == '\\')
+            out += {'\\', c};
+        else if (c == '\n' || c == '\t')
+            out += c == '\n' ? "\\n" : "\\t";
+        else
+            out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
+    }
+    return out;
+}
+
 } // namespace vrc

@@ -24,6 +24,13 @@ std::string toJson(const SimSummary &summary);
  */
 std::string toJson(const MpSimulator &sim);
 
+/**
+ * Escape @p s for the inside of a JSON string, as the failure and
+ * service manifests do: quote, backslash, newline and tab are escaped,
+ * any other control character becomes a space.
+ */
+std::string jsonEscapeText(const std::string &s);
+
 } // namespace vrc
 
 #endif // VRC_SIM_JSON_STATS_HH

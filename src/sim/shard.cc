@@ -9,22 +9,15 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include "base/atomic_file.hh"
 #include "base/fault.hh"
 #include "base/log.hh"
 #include "base/shutdown.hh"
 #include "serve/client.hh"
+#include "serve/conn.hh"
 #include "serve/wire.hh"
 #include "trace/workload.hh"
 
@@ -36,23 +29,8 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h = (h ^ (v & 0xFF)) * 0x100000001b3ull;
-        v >>= 8;
-    }
-    return h;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &s)
-{
-    for (char c : s)
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    return h;
-}
+/** Strikes before a worker name is quarantined (serve's default). */
+constexpr unsigned kWorkerStrikeLimit = 3;
 
 constexpr const char *conflictPrefix = "conflicting summaries";
 
@@ -61,17 +39,7 @@ constexpr const char *conflictPrefix = "conflicting summaries";
 std::uint64_t
 shardCellId(const TraceBundle &bundle, const SimJob &job)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, bundle.profile.name);
-    h = fnv1a(h, bundle.profile.seed);
-    h = fnv1a(h, bundle.records.size());
-    h = fnv1a(h, static_cast<std::uint64_t>(job.kind));
-    h = fnv1a(h, job.l1Size);
-    h = fnv1a(h, job.l2Size);
-    h = fnv1a(h, job.split ? 1 : 0);
-    h = fnv1a(h, job.invariantPeriod);
-    h = fnv1a(h, static_cast<std::uint64_t>(job.timingMode));
-    return h;
+    return hashWorkloadJobs(bundle, &job, 1);
 }
 
 bool
@@ -89,64 +57,16 @@ mergeJournalTexts(
 {
     if (inputs.empty())
         return makeError(ErrorKind::Bounds, "no journals to merge");
-
     ShardMerge m;
-    std::vector<std::string> srcCtx;
-    std::vector<std::uint64_t> srcLine;
-    std::string firstCtx;
     for (const auto &[ctx, text] : inputs) {
         std::istringstream is(text);
-        Result<JournalContents> loaded = tryLoadJournal(is, ctx);
-        if (!loaded)
-            return loaded.error();
-        JournalContents j = loaded.take();
-        m.torn += j.torn;
-        m.duplicates += j.duplicates;
-        if (m.inputs == 0) {
-            firstCtx = ctx;
-            m.merged.key = j.key;
-            m.merged.cells = j.cells;
-            m.merged.present.assign(j.cells, false);
-            m.merged.summaries.resize(j.cells);
-            m.merged.lines.resize(j.cells);
-            m.merged.firstLine.assign(j.cells, 0);
-            srcCtx.resize(j.cells);
-            srcLine.assign(j.cells, 0);
-        } else {
-            if (j.key != m.merged.key)
-                return makeErrorAt(
-                    ErrorKind::Mismatch, ctx, 2,
-                    "journal belongs to campaign ", j.key,
-                    " but ", firstCtx, " is campaign ", m.merged.key);
-            if (j.cells != m.merged.cells)
-                return makeErrorAt(
-                    ErrorKind::Mismatch, ctx, 2,
-                    "journal has ", j.cells, " cells but ", firstCtx,
-                    " has ", m.merged.cells);
-        }
-        for (std::size_t i = 0; i < j.cells; ++i) {
-            if (!j.present[i])
-                continue;
-            if (!m.merged.present[i]) {
-                m.merged.present[i] = true;
-                m.merged.summaries[i] = j.summaries[i];
-                m.merged.lines[i] = j.lines[i];
-                m.merged.firstLine[i] = j.firstLine[i];
-                srcCtx[i] = ctx;
-                srcLine[i] = j.firstLine[i];
-                continue;
-            }
-            if (m.merged.lines[i] == j.lines[i]) {
-                ++m.duplicates;
-                continue;
-            }
-            return makeErrorAt(ErrorKind::Mismatch, ctx,
-                               j.firstLine[i], conflictPrefix,
-                               " for cell ", i, " (disagrees with ",
-                               srcCtx[i], ":", srcLine[i], ")");
-        }
-        ++m.inputs;
+        Status merged = mergeJournal(is, ctx, m.merged);
+        if (!merged)
+            return merged.error();
     }
+    m.inputs = inputs.size();
+    m.duplicates = m.merged.duplicates;
+    m.torn = m.merged.torn;
     for (std::size_t i = 0; i < m.merged.cells; ++i)
         if (!m.merged.present[i])
             m.missing.push_back(i);
@@ -193,14 +113,14 @@ namespace
 /** One connected worker. */
 struct WorkerConn
 {
+    explicit WorkerConn(int fd) : conn(fd) {}
+
     std::uint64_t id = 0;
-    int fd = -1;
+    Connection conn;
     std::string name;       ///< from HELLO; empty until then
     bool ready = false;     ///< HELLO accepted
     bool gone = false;      ///< connection dead (no more dispatch)
-    bool writeShut = false;
     std::int64_t assignment = -1; ///< active assignment id, -1 = idle
-    std::mutex writeMu;
     std::thread reader;
 };
 
@@ -221,10 +141,7 @@ struct Assignment
 struct ShardCoordinator::Impl
 {
     ShardCoordinatorOptions opt;
-
-    int unixFd = -1;
-    int tcpFd = -1;
-    int boundTcpPort = -1;
+    Listener listener;
 
     // All coordinator state below is guarded by mu; cv wakes the
     // scheduler loop on every event (result, done, hello, loss).
@@ -240,22 +157,18 @@ struct ShardCoordinator::Impl
     std::unordered_map<std::uint64_t, std::size_t> idToIndex;
 
     CampaignResult res;
-    std::vector<std::string> lines;       ///< accepted journal lines
+    CheckpointJournal journal; ///< accepted result line per cell
     std::vector<bool> cellQuarantined;
-    std::vector<CellFailure> lastFail;
-    std::vector<unsigned> failCount;
+    std::vector<CellFailure> lastFail; ///< attempts = failed dispatches
     std::vector<unsigned> dispatchCount; ///< wire `attempt` source
     std::vector<Clock::time_point> earliest; ///< backoff gate
     std::deque<std::size_t> pending;
-
-    std::ofstream journal;
 
     std::vector<std::shared_ptr<WorkerConn>> workers;
     std::uint64_t nextWorkerId = 1;
     std::map<std::uint64_t, Assignment> assignments;
     std::uint64_t nextAssignId = 1;
-    std::map<std::string, unsigned> strikes;
-    std::set<std::string> quarantinedNames;
+    StrikeBook book{kWorkerStrikeLimit, "worker"};
 
     ShardStats stats;
     bool conflict = false;
@@ -264,184 +177,37 @@ struct ShardCoordinator::Impl
 
     std::thread acceptThread;
 
-    // ---- socket plumbing -------------------------------------------
-
-    Status
-    bindListeners()
-    {
-        if (opt.listenUnix.empty() && opt.listenTcp < 0)
-            return makeError(ErrorKind::Io,
-                             "coordinate: no listener configured "
-                             "(need a unix path and/or a TCP port)");
-        if (!opt.listenUnix.empty()) {
-            sockaddr_un sa = {};
-            if (opt.listenUnix.size() >= sizeof(sa.sun_path))
-                return makeError(ErrorKind::Bounds,
-                                 "unix socket path too long: ",
-                                 opt.listenUnix);
-            unixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            if (unixFd < 0)
-                return makeError(ErrorKind::Io, "socket(AF_UNIX): ",
-                                 std::strerror(errno));
-            sa.sun_family = AF_UNIX;
-            std::strncpy(sa.sun_path, opt.listenUnix.c_str(),
-                         sizeof(sa.sun_path) - 1);
-            ::unlink(opt.listenUnix.c_str());
-            if (::bind(unixFd, reinterpret_cast<sockaddr *>(&sa),
-                       sizeof(sa)) != 0 ||
-                ::listen(unixFd, 64) != 0)
-                return makeError(ErrorKind::Io, "cannot listen on ",
-                                 opt.listenUnix, ": ",
-                                 std::strerror(errno));
-        }
-        if (opt.listenTcp >= 0) {
-            tcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (tcpFd < 0)
-                return makeError(ErrorKind::Io, "socket(AF_INET): ",
-                                 std::strerror(errno));
-            int one = 1;
-            ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                         sizeof(one));
-            sockaddr_in sa = {};
-            sa.sin_family = AF_INET;
-            sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            sa.sin_port =
-                htons(static_cast<std::uint16_t>(opt.listenTcp));
-            if (::bind(tcpFd, reinterpret_cast<sockaddr *>(&sa),
-                       sizeof(sa)) != 0 ||
-                ::listen(tcpFd, 64) != 0)
-                return makeError(ErrorKind::Io,
-                                 "cannot listen on 127.0.0.1:",
-                                 opt.listenTcp, ": ",
-                                 std::strerror(errno));
-            socklen_t len = sizeof(sa);
-            ::getsockname(tcpFd, reinterpret_cast<sockaddr *>(&sa),
-                          &len);
-            boundTcpPort = ntohs(sa.sin_port);
-        }
-        return okStatus();
-    }
-
-    void
-    closeListeners()
-    {
-        if (unixFd >= 0) {
-            ::close(unixFd);
-            unixFd = -1;
-            ::unlink(opt.listenUnix.c_str());
-        }
-        if (tcpFd >= 0) {
-            ::close(tcpFd);
-            tcpFd = -1;
-        }
-    }
-
-    /** Send one frame to a worker; false cuts the connection. */
-    bool
-    sendToWorker(WorkerConn &w, const std::string &frame)
-    {
-        std::lock_guard<std::mutex> g(w.writeMu);
-        if (w.writeShut)
-            return false;
-        if (!writeAllFd(w.fd, frame.data(), frame.size())) {
-            w.writeShut = true;
-            ::shutdown(w.fd, SHUT_RDWR);
-            return false;
-        }
-        return true;
-    }
-
     // ---- accept + reader threads -----------------------------------
 
     void
     acceptLoop()
     {
-        while (!stopping.load(std::memory_order_acquire)) {
-            pollfd fds[2];
-            nfds_t nf = 0;
-            int unix_at = -1, tcp_at = -1;
-            if (unixFd >= 0) {
-                unix_at = static_cast<int>(nf);
-                fds[nf++] = {unixFd, POLLIN, 0};
+        auto adopt = [this](int fd) {
+            auto w = std::make_shared<WorkerConn>(fd);
+            {
+                std::lock_guard<std::mutex> g(mu);
+                w->id = nextWorkerId++;
+                workers.push_back(w);
             }
-            if (tcpFd >= 0) {
-                tcp_at = static_cast<int>(nf);
-                fds[nf++] = {tcpFd, POLLIN, 0};
-            }
-            int pr = ::poll(fds, nf, 100);
-            if (pr < 0 && errno != EINTR)
-                break;
-            if (pr <= 0)
-                continue;
-            if (unix_at >= 0 && (fds[unix_at].revents & POLLIN))
-                acceptOne(unixFd);
-            if (tcp_at >= 0 && (fds[tcp_at].revents & POLLIN))
-                acceptOne(tcpFd);
+            w->reader = std::thread([this, w] { readerLoop(*w); });
+        };
+        while (!stopping.load(std::memory_order_acquire) &&
+               listener.accept(100, adopt)) {
         }
-    }
-
-    void
-    acceptOne(int listener)
-    {
-        int fd = acceptRetryFd(listener);
-        if (fd < 0)
-            return;
-        auto w = std::make_shared<WorkerConn>();
-        w->fd = fd;
-        {
-            std::lock_guard<std::mutex> g(mu);
-            w->id = nextWorkerId++;
-            workers.push_back(w);
-        }
-        w->reader = std::thread([this, w] { readerLoop(*w); });
     }
 
     void
     readerLoop(WorkerConn &w)
     {
-        FrameReader frames;
-        char buf[64 * 1024];
-        bool alive = true;
-        while (alive && !stopping.load(std::memory_order_acquire)) {
-            pollfd p = {w.fd, POLLIN, 0};
-            int pr = ::poll(&p, 1, 100);
-            if (pr < 0) {
-                if (errno == EINTR)
-                    continue;
-                break;
-            }
-            if (pr == 0)
-                continue;
-            if (!(p.revents & (POLLIN | POLLHUP | POLLERR)))
-                continue;
-            long rn = readSomeFd(w.fd, buf, sizeof(buf));
-            if (rn == 0)
-                break;
-            if (rn < 0) {
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    continue;
-                break;
-            }
-            frames.feed(buf, static_cast<std::size_t>(rn));
-            for (;;) {
-                FrameReader::State fs = frames.poll();
-                if (fs == FrameReader::State::NeedMore)
-                    break;
-                if (fs == FrameReader::State::Broken) {
-                    std::lock_guard<std::mutex> g(mu);
-                    warn("coordinate: torn frame stream from worker '",
-                         w.name, "': ", frames.error().message);
-                    strikeLocked(w.name);
-                    alive = false;
-                    break;
-                }
-                if (!handleFrame(w, frames.take())) {
-                    alive = false;
-                    break;
-                }
-            }
-        }
+        Connection::ReadEnd end = w.conn.readFrames(
+            [this] { return !stopping.load(std::memory_order_acquire); },
+            [this, &w](Frame f) { return handleFrame(w, std::move(f)); });
         std::lock_guard<std::mutex> g(mu);
+        if (end == Connection::ReadEnd::Broken) {
+            warn("coordinate: torn frame stream from worker '", w.name,
+                 "': ", w.conn.frameError().message);
+            strikeLocked(w.name);
+        }
         markGoneLocked(w);
         cv.notify_all();
     }
@@ -464,12 +230,8 @@ struct ShardCoordinator::Impl
                 return false;
             }
             w.name = hello.value().client;
-            if (quarantinedNames.count(w.name)) {
-                sendToWorker(
-                    w, encodeErrorReply(
-                           FrameType::Quarantined,
-                           ErrorReply{0, ErrorKind::Worker,
-                                      "worker is quarantined"}));
+            if (book.quarantined(w.name)) {
+                w.conn.send(book.refusal(w.name));
                 return false;
             }
             w.ready = true;
@@ -523,7 +285,7 @@ struct ShardCoordinator::Impl
         // silently, otherwise somebody computed a wrong answer and
         // the run must not paper over it.
         if (res.completed[idx]) {
-            if (lines[idx] == cr.summaryLine) {
+            if (journal.line(idx) == cr.summaryLine) {
                 ++stats.duplicateResults;
             } else if (!conflict) {
                 conflict = true;
@@ -539,12 +301,8 @@ struct ShardCoordinator::Impl
         }
         res.completed[idx] = true;
         res.summaries[idx] = s;
-        lines[idx] = cr.summaryLine;
+        journal.append(idx, cr.summaryLine);
         ++stats.cellResults;
-        if (journal.is_open()) {
-            journal << cr.summaryLine << "\n";
-            journal.flush();
-        }
         noteProgressLocked(w, cr.assignId);
         cv.notify_all();
         return true;
@@ -607,28 +365,14 @@ struct ShardCoordinator::Impl
     void
     strikeLocked(const std::string &name)
     {
-        if (name.empty())
+        if (!book.strike(name))
             return;
-        unsigned s = ++strikes[name];
-        if (s >= opt.workerStrikeLimit &&
-            !quarantinedNames.count(name)) {
-            quarantinedNames.insert(name);
-            ++stats.workersQuarantined;
-            warn("coordinate: quarantining worker '", name, "' after ",
-                 s, " strikes");
-            for (auto &w : workers) {
-                if (w->name != name || w->gone)
-                    continue;
-                sendToWorker(
-                    *w, encodeErrorReply(
-                            FrameType::Quarantined,
-                            ErrorReply{0, ErrorKind::Worker,
-                                       "worker is quarantined"}));
-                std::lock_guard<std::mutex> g(w->writeMu);
-                w->writeShut = true;
-                ::shutdown(w->fd, SHUT_RDWR);
-            }
-        }
+        ++stats.workersQuarantined;
+        warn("coordinate: quarantining worker '", name, "' after ",
+             kWorkerStrikeLimit, " strikes");
+        for (auto &w : workers)
+            if (w->name == name && !w->gone)
+                w->conn.sendAndShut(book.refusal(name));
     }
 
     /** The connection died: return its unfinished cells to the pool. */
@@ -638,11 +382,7 @@ struct ShardCoordinator::Impl
         if (w.gone)
             return;
         w.gone = true;
-        {
-            std::lock_guard<std::mutex> g(w.writeMu);
-            w.writeShut = true;
-            ::shutdown(w.fd, SHUT_RDWR);
-        }
+        w.conn.shutdown();
         if (w.ready && !stopping.load(std::memory_order_acquire))
             ++stats.workersLost;
         if (w.assignment >= 0) {
@@ -678,14 +418,12 @@ struct ShardCoordinator::Impl
     {
         if (res.completed[idx] || cellQuarantined[idx])
             return;
-        unsigned fails = ++failCount[idx];
-        CellFailure f;
+        CellFailure &f = lastFail[idx];
+        unsigned fails = ++f.attempts;
         f.index = idx;
-        f.attempts = fails;
         f.timedOut = timedOut;
         f.kind = kind;
         f.error = message;
-        lastFail[idx] = f;
         if (fails > opt.maxRetries) {
             cellQuarantined[idx] = true;
             warn("coordinate: cell ", idx, " quarantined after ",
@@ -693,14 +431,10 @@ struct ShardCoordinator::Impl
                  ": ", message);
             return;
         }
-        double backoff =
-            opt.backoffSeconds *
-            static_cast<double>(std::uint64_t{1}
-                                << std::min(fails - 1, 20u));
-        backoff = std::min(backoff, opt.backoffCapSeconds);
         earliest[idx] =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(backoff));
+            Clock::now() +
+            std::chrono::duration_cast<Clock::duration>(
+                std::chrono::duration<double>(opt.backoffBefore(fails - 1)));
         pending.push_back(idx);
     }
 
@@ -766,7 +500,7 @@ struct ShardCoordinator::Impl
             if (pending.empty())
                 return;
             if (!w->ready || w->gone || w->assignment >= 0 ||
-                quarantinedNames.count(w->name))
+                book.quarantined(w->name))
                 continue;
             std::size_t shard_size =
                 opt.cellsPerShard
@@ -814,7 +548,7 @@ struct ShardCoordinator::Impl
             a.cells = cells;
             a.lastProgress = now;
             a.active = true;
-            if (!sendToWorker(*w, encodeShardAssign(assign))) {
+            if (!w->conn.send(encodeShardAssign(assign))) {
                 // The write failed: the reader will notice EOF and
                 // recycle the cells; just put them straight back.
                 for (std::size_t idx : cells)
@@ -836,6 +570,21 @@ struct ShardCoordinator::Impl
         return true;
     }
 
+    /** Stop accepting, wave goodbye, join the readers (idempotent). */
+    void
+    teardown()
+    {
+        stopping.store(true, std::memory_order_release);
+        if (acceptThread.joinable())
+            acceptThread.join();
+        for (auto &w : workers) {
+            w->conn.sendAndShut(encodeBye());
+            if (w->reader.joinable())
+                w->reader.join();
+        }
+        listener.close();
+    }
+
     bool
     anyActiveLocked() const
     {
@@ -854,33 +603,20 @@ ShardCoordinator::ShardCoordinator(ShardCoordinatorOptions opt)
 
 ShardCoordinator::~ShardCoordinator()
 {
-    _impl->stopping.store(true, std::memory_order_release);
-    if (_impl->acceptThread.joinable())
-        _impl->acceptThread.join();
-    for (auto &w : _impl->workers) {
-        if (w->fd >= 0) {
-            std::lock_guard<std::mutex> g(w->writeMu);
-            w->writeShut = true;
-            ::shutdown(w->fd, SHUT_RDWR);
-        }
-        if (w->reader.joinable())
-            w->reader.join();
-        if (w->fd >= 0)
-            ::close(w->fd);
-    }
-    _impl->closeListeners();
+    _impl->teardown();
 }
 
 Status
 ShardCoordinator::bind()
 {
-    return _impl->bindListeners();
+    return _impl->listener.bind(_impl->opt.listenUnix,
+                                _impl->opt.listenTcp, "coordinate");
 }
 
 int
 ShardCoordinator::tcpPort() const
 {
-    return _impl->boundTcpPort;
+    return _impl->listener.tcpPort();
 }
 
 ShardStats
@@ -902,8 +638,8 @@ ShardCoordinator::run(const TraceBundle &bundle,
                       const std::vector<SimJob> &jobs)
 {
     Impl &im = *_impl;
-    if (im.unixFd < 0 && im.tcpFd < 0) {
-        Status bound = im.bindListeners();
+    if (!im.listener.bound()) {
+        Status bound = bind();
         if (!bound)
             return bound.error();
     }
@@ -914,10 +650,8 @@ ShardCoordinator::run(const TraceBundle &bundle,
     im.n = jobs.size();
     im.res.summaries.resize(im.n);
     im.res.completed.assign(im.n, false);
-    im.lines.resize(im.n);
     im.cellQuarantined.assign(im.n, false);
     im.lastFail.resize(im.n);
-    im.failCount.assign(im.n, 0);
     im.dispatchCount.assign(im.n, 0);
     im.earliest.assign(im.n, Clock::time_point{});
 
@@ -934,52 +668,9 @@ ShardCoordinator::run(const TraceBundle &bundle,
 
     // Resume: the journal IS the recovery state. Replay it, then
     // dispatch only what is missing.
-    if (!im.opt.checkpoint.empty()) {
-        bool append = false;
-        if (im.opt.resume) {
-            std::ifstream in(im.opt.checkpoint);
-            if (in) {
-                Result<JournalContents> loaded =
-                    tryLoadJournal(in, im.opt.checkpoint);
-                if (!loaded)
-                    return loaded.error();
-                const JournalContents &j = loaded.value();
-                if (j.key != im.key)
-                    return makeErrorAt(
-                        ErrorKind::Mismatch, im.opt.checkpoint, 2,
-                        "checkpoint belongs to a different campaign "
-                        "(key ",
-                        j.key, ", this campaign is ", im.key, ")");
-                if (j.cells != im.n)
-                    return makeErrorAt(
-                        ErrorKind::Mismatch, im.opt.checkpoint, 2,
-                        "checkpoint cell count ", j.cells,
-                        " does not match this campaign (", im.n,
-                        " cells)");
-                for (std::size_t i = 0; i < im.n; ++i) {
-                    if (!j.present[i])
-                        continue;
-                    im.res.completed[i] = true;
-                    im.res.summaries[i] = j.summaries[i];
-                    im.lines[i] = j.lines[i];
-                    ++im.res.restored;
-                }
-                append = true;
-            }
-        }
-        im.journal.open(im.opt.checkpoint,
-                        append ? std::ios::app : std::ios::trunc);
-        if (!im.journal)
-            return makeError(ErrorKind::Io,
-                             "cannot open checkpoint journal for "
-                             "writing: ",
-                             im.opt.checkpoint);
-        if (!append) {
-            im.journal << "vrc-campaign-checkpoint v1\nkey " << im.key
-                       << " cells " << im.n << "\n";
-            im.journal.flush();
-        }
-    }
+    Status opened = im.journal.open(im.opt, im.key, im.res);
+    if (!opened)
+        return opened.error();
 
     for (std::size_t i = 0; i < im.n; ++i)
         if (!im.res.completed[i])
@@ -1003,66 +694,18 @@ ShardCoordinator::run(const TraceBundle &bundle,
         }
     }
 
-    // Teardown: stop accepting, wave goodbye, join the readers.
-    im.stopping.store(true, std::memory_order_release);
-    if (im.acceptThread.joinable())
-        im.acceptThread.join();
-    for (auto &w : im.workers) {
-        im.sendToWorker(*w, encodeBye());
-        {
-            std::lock_guard<std::mutex> g(w->writeMu);
-            w->writeShut = true;
-            ::shutdown(w->fd, SHUT_RDWR);
-        }
-        if (w->reader.joinable())
-            w->reader.join();
-        ::close(w->fd);
-        w->fd = -1;
-    }
-    im.closeListeners();
+    im.teardown();
 
     std::lock_guard<std::mutex> g(im.mu);
-    if (im.conflict) {
-        if (im.journal.is_open())
-            im.journal.close();
+    if (im.conflict)
         return im.conflictError;
-    }
 
     im.res.interrupted = shutdownRequested() > 0;
-    for (std::size_t i = 0; i < im.n; ++i)
+    for (std::size_t i = 0; i < im.n; ++i) // index order: sorted
         if (im.cellQuarantined[i] && !im.res.completed[i])
             im.res.quarantined.push_back(im.lastFail[i]);
-    std::sort(im.res.quarantined.begin(), im.res.quarantined.end(),
-              [](const CellFailure &a, const CellFailure &b) {
-                  return a.index < b.index;
-              });
 
-    // Same canonicalization contract as CampaignRunner::run(): a
-    // finished run's journal depends only on what completed.
-    if (im.journal.is_open()) {
-        im.journal.close();
-        if (!im.res.interrupted) {
-            JournalContents canon;
-            canon.key = im.key;
-            canon.cells = im.n;
-            canon.present = im.res.completed;
-            canon.lines = im.lines;
-            Status rewrote = writeFileAtomic(
-                im.opt.checkpoint, canonicalJournalText(canon));
-            if (!rewrote)
-                warn("cannot canonicalize checkpoint journal ",
-                     im.opt.checkpoint, ": ",
-                     rewrote.error().message);
-        }
-    }
-
-    if (!im.opt.manifest.empty()) {
-        Status wrote = writeFileAtomic(
-            im.opt.manifest, failureManifestToJson(im.res) + "\n");
-        if (!wrote)
-            warn("cannot write failure manifest ", im.opt.manifest,
-                 ": ", wrote.error().message);
-    }
+    im.journal.finish(im.res);
     return im.res;
 }
 
@@ -1211,9 +854,7 @@ runShardWorker(const ShardWorkerOptions &opt)
         ShardDoneReply done;
         done.assignId = assign.assignId;
 
-        if (assign.profileName != "pops" &&
-            assign.profileName != "thor" &&
-            assign.profileName != "abaqus") {
+        if (!isBuiltinProfile(assign.profileName)) {
             for (const ShardCell &cell : assign.cells)
                 done.failures.push_back(
                     {cell.index, ErrorKind::Bounds,
@@ -1251,41 +892,37 @@ runShardWorker(const ShardWorkerOptions &opt)
                         shardStallSeconds()));
                 hb.pause.store(false, std::memory_order_release);
             }
-            try {
-                CancelToken token;
-                SimSummary s = runSimulationCancellable(
-                    bundle, cell.job, token);
-                std::string line =
-                    encodeSummaryLine(cell.index, s);
-                std::string frame = encodeCellResult(CellResultReply{
-                    assign.assignId, cell.index, line});
-                if (fault == ShardFaultKind::Tear) {
-                    warn("shard-worker '", opt.name,
-                         "': injected reply tear on cell ",
-                         cell.index);
-                    std::lock_guard<std::mutex> g(sendMu);
-                    [[maybe_unused]] Status torn = client.send(
-                        frame.substr(0, frame.size() / 2));
-                    std::_Exit(141);
-                }
-                {
-                    std::lock_guard<std::mutex> g(sendMu);
-                    Status sent = client.send(frame);
-                    if (!sent)
-                        return stats;
-                }
-                ++done.completed;
-                hb.cellsDone.fetch_add(1);
-                ++stats.cellsRun;
-            } catch (const ErrorException &e) {
-                done.failures.push_back({cell.index, e.err().kind,
-                                         e.err().message});
-                ++stats.cellsFailed;
-            } catch (const std::exception &e) {
+            SimSummary s;
+            std::optional<Error> err = catchAsError([&] {
+                s = runSimulationCancellable(bundle, cell.job,
+                                             CancelToken());
+            });
+            if (err) {
                 done.failures.push_back(
-                    {cell.index, ErrorKind::Worker, e.what()});
+                    {cell.index, err->kind, err->message});
                 ++stats.cellsFailed;
+                continue;
             }
+            std::string frame = encodeCellResult(CellResultReply{
+                assign.assignId, cell.index,
+                encodeSummaryLine(cell.index, s)});
+            if (fault == ShardFaultKind::Tear) {
+                warn("shard-worker '", opt.name,
+                     "': injected reply tear on cell ", cell.index);
+                std::lock_guard<std::mutex> g(sendMu);
+                [[maybe_unused]] Status torn =
+                    client.send(frame.substr(0, frame.size() / 2));
+                std::_Exit(141);
+            }
+            {
+                std::lock_guard<std::mutex> g(sendMu);
+                Status sent = client.send(frame);
+                if (!sent)
+                    return stats;
+            }
+            ++done.completed;
+            hb.cellsDone.fetch_add(1);
+            ++stats.cellsRun;
         }
         std::lock_guard<std::mutex> g(sendMu);
         Status sent = client.send(encodeShardDone(done));

@@ -1,46 +1,31 @@
 /**
  * @file
- * Distributed sweep sharding: coordinator, worker, and journal merge.
+ * Distributed sweep sharding: coordinator, worker, and journal merge
+ * (DESIGN.md section 14).
  *
- * A campaign grid is embarrassingly parallel and deterministic per
- * cell, so scaling past one machine is "only" a distribution problem
- * -- which is to say, entirely a failure-handling problem. The
- * coordinator partitions the grid into shards, dispatches them to
- * workers over the VRCW wire layer (SHARD_ASSIGN / CELL_RESULT /
- * SHARD_DONE / HEARTBEAT frames), and appends each accepted cell line
- * to the same crash-safe checkpoint journal the single-process sweep
- * writes. The invariants:
+ * The coordinator partitions a campaign grid into shards, dispatches
+ * them to workers over the VRCW wire layer (SHARD_ASSIGN / CELL_RESULT
+ * / SHARD_DONE / HEARTBEAT frames) and journals each accepted cell
+ * through the same CheckpointJournal and ResilienceOptions as the
+ * single-process sweep (campaign.hh), so a finished distributed
+ * journal is byte-identical to a local one. On top of that:
  *
- *  - Stable cell identity: shardCellId() hashes the cell's CONTENT
- *    (workload identity + the job's knobs), never its grid index, so
- *    an id names the same work after the grid grows or is reordered.
- *    Results are deduplicated by id -- the first valid result wins
- *    and every later copy (a straggler that woke up, a speculative
- *    duplicate) is discarded, unless its bytes disagree, which is a
- *    hard conflict error.
- *  - Liveness: workers heartbeat per assignment. An assignment with
- *    no progress inside the deadline marks its worker a straggler:
- *    the missing cells are speculatively re-dispatched to someone
- *    else and the worker earns a strike (enough strikes = quarantine,
- *    like the serve layer's misbehaving clients). A worker that
- *    vanishes (EOF, torn frame, failed write) returns its unfinished
- *    cells to the pending queue under bounded retry with backoff;
- *    cells that exhaust retries are quarantined, never lost silently.
- *  - Crash recovery: the journal IS the coordinator's state. A killed
- *    coordinator restarts with --resume, replays the journal, and
- *    re-dispatches only the missing cells; the finished journal is
- *    rewritten in canonical index order, so the end state is
- *    byte-identical to an uninterrupted single-process --sweep.
- *  - Drain: SIGTERM stops new dispatch; in-flight shards finish (or
- *    hit the deadline), the manifest records "interrupted": true, and
- *    the exit path mirrors the sweep's exit-5 contract.
+ *  - Stable cell identity: shardCellId() hashes the cell's CONTENT,
+ *    never its grid index. The first valid result per cell wins; a
+ *    later copy is discarded when byte-identical and is a hard
+ *    conflict error otherwise.
+ *  - Liveness: an assignment with no heartbeat or result inside the
+ *    deadline is speculatively re-dispatched and its worker struck
+ *    (serve/conn.hh StrikeBook). A lost worker's unfinished cells go
+ *    back under bounded retry with backoff, then quarantine.
+ *  - Drain: SIGTERM stops new dispatch; in-flight shards finish and
+ *    the run ends with the sweep's exit-5 contract. --resume re-reads
+ *    the journal and dispatches only the missing cells.
  *
- * vrc-merge reuses the same journal loader to validate and merge the
- * partial journals of INDEPENDENT runs (grid split by hand across
- * machines with --shard-cells ranges, or salvage after a crash): same
- * key + cell count required, torn tails tolerated, byte-identical
- * duplicates collapsed, disagreeing duplicates a hard error naming
- * both sources.
+ * vrc-merge reuses the journal loader to merge the partial journals of
+ * independent runs: same key and cell count required, torn tails
+ * tolerated, byte-identical duplicates collapsed, disagreeing
+ * duplicates a hard error naming both sources.
  */
 
 #ifndef VRC_SIM_SHARD_HH
@@ -101,9 +86,17 @@ std::string mergeManifestJson(const ShardMerge &m);
 
 // ---- coordinator ----------------------------------------------------
 
-/** Knobs for one coordinated (sharded) campaign. */
-struct ShardCoordinatorOptions
+/**
+ * Knobs for one coordinated (sharded) campaign. The inherited
+ * deadlineSeconds is a no-progress deadline per assignment: an
+ * assignment whose worker neither heartbeats nor delivers a cell for
+ * that long is a straggler (speculative re-dispatch + a strike), and
+ * maxRetries counts re-dispatches after a cell's first failed one.
+ */
+struct ShardCoordinatorOptions : ResilienceOptions
 {
+    ShardCoordinatorOptions() { maxRetries = 2; }
+
     std::string listenUnix; ///< unix socket path; empty = none
     int listenTcp = -1;     ///< TCP port (0 = ephemeral); -1 = none
 
@@ -117,35 +110,6 @@ struct ShardCoordinatorOptions
 
     /** Cells per dispatched shard; 0 = auto (grid / 4, min 1). */
     std::size_t cellsPerShard = 0;
-
-    /**
-     * No-progress deadline per assignment in seconds: an assignment
-     * whose worker neither heartbeats nor delivers a cell for this
-     * long is a straggler (speculative re-dispatch + a strike).
-     * 0 disables the watchdog.
-     */
-    double deadlineSeconds = 0.0;
-
-    /** Re-dispatches after a cell's first failed dispatch. */
-    unsigned maxRetries = 2;
-
-    /** Straggler/lost strikes before a worker name is quarantined. */
-    unsigned workerStrikeLimit = 3;
-
-    /** First re-dispatch backoff; doubles per failure. */
-    double backoffSeconds = 0.05;
-
-    /** Backoff ceiling. */
-    double backoffCapSeconds = 2.0;
-
-    /** Journal path; empty disables checkpointing. */
-    std::string checkpoint;
-
-    /** Load the journal and dispatch only the missing cells. */
-    bool resume = false;
-
-    /** Failure manifest path; empty = don't write one. */
-    std::string manifest;
 };
 
 /** Coordinator-side counters (tests and the CLI report). */

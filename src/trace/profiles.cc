@@ -146,6 +146,12 @@ profileByName(const std::string &name)
           " (expected pops, thor or abaqus)");
 }
 
+bool
+isBuiltinProfile(const std::string &name)
+{
+    return name == "pops" || name == "thor" || name == "abaqus";
+}
+
 std::vector<WorkloadProfile>
 paperProfiles()
 {

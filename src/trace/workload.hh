@@ -143,6 +143,9 @@ WorkloadProfile abaqusProfile();
 /** Look up a named profile ("pops", "thor", "abaqus"). fatal() if unknown. */
 WorkloadProfile profileByName(const std::string &name);
 
+/** True when profileByName() knows @p name. */
+bool isBuiltinProfile(const std::string &name);
+
 /** All three paper profiles, in Table 5 order. */
 std::vector<WorkloadProfile> paperProfiles();
 

@@ -9,7 +9,9 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 
 namespace vrc
@@ -163,6 +165,62 @@ TEST(ExperimentTest, SizePairHelpers)
     EXPECT_EQ(smallSizePairs().size(), 3u);
     EXPECT_EQ(sizeLabel(16 * 1024, 256 * 1024), "16K/256K");
     EXPECT_EQ(sizeLabel(512, 64 * 1024), ".5K/64K");
+}
+
+// ---- the one replay loop ------------------------------------------
+
+// The campaign and shard paths replay through runSimulationCancellable,
+// batch vrc-sim through runSimulationJob: both must give the same bytes.
+TEST(ReplayLoopTest, CancellableMatchesJobByteForByte)
+{
+    WorkloadProfile p = scaled(profileByName("thor"), 0.01);
+    p.seed = 20251017;
+    const TraceBundle b = generateTrace(p);
+    ASSERT_GT(b.records.size(), 2 * kReplayChunk); // crosses chunks
+    CancelToken live;
+    for (auto kind : kAllHierarchyKinds) {
+        for (TimingMode mode : {TimingMode::Analytic, TimingMode::Cycle}) {
+            SCOPED_TRACE(std::string(hierarchyKindName(kind)) + "/" +
+                         timingModeName(mode));
+            SimJob job{kind, 16 * 1024, 256 * 1024, false, 0, mode};
+            EXPECT_EQ(
+                encodeSummaryLine(0, runSimulationCancellable(b, job, live)),
+                encodeSummaryLine(0, runSimulationJob(b, job)));
+        }
+    }
+}
+
+TEST(ReplayLoopTest, PollsOnlyAtChunkBoundaries)
+{
+    const auto &b = bundleFor("pops", 0.01);
+    const std::size_t n = b.records.size();
+    std::vector<std::size_t> polls;
+    SimJob job{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024};
+    SimSummary s = replaySimulation(
+        b.profile, job, b.records.data(), n,
+        [&polls](std::size_t done) { polls.push_back(done); });
+    EXPECT_EQ(s.refs, runSimulationJob(b, job).refs);
+    ASSERT_EQ(polls.size(), (n + kReplayChunk - 1) / kReplayChunk + 1);
+    for (std::size_t i = 0; i + 1 < polls.size(); ++i)
+        EXPECT_EQ(polls[i], i * kReplayChunk);
+    EXPECT_EQ(polls.back(), n);
+}
+
+TEST(ReplayLoopTest, CancelledTokenStopsBeforeAnyRecord)
+{
+    const auto &b = bundleFor("pops", 0.01);
+    CancelToken token;
+    token.cancel();
+    SimJob job{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024};
+    try {
+        runSimulationCancellable(b, job, token);
+        FAIL() << "a cancelled token must stop the replay";
+    } catch (const ErrorException &e) {
+        EXPECT_EQ(e.err().kind, ErrorKind::Cancelled);
+        EXPECT_NE(e.err().message.find("cancelled after 0 of"),
+                  std::string::npos)
+            << e.err().message;
+    }
 }
 
 } // namespace

@@ -253,6 +253,25 @@ reportCampaign(const std::vector<SimJob> &jobs,
     return res.allOk() ? 0 : 3;
 }
 
+/** Print @p e and return the exit code @p code. */
+int
+reportError(const Error &e, int code)
+{
+    std::cerr << "vrc_sim: " << e.describe() << "\n";
+    return code;
+}
+
+/** Print the bound addresses for scripts waiting on a server. */
+void
+announceListeners(const std::string &unixPath, int tcpPort)
+{
+    if (!unixPath.empty())
+        std::cout << "listening unix " << unixPath << "\n";
+    if (tcpPort >= 0)
+        std::cout << "listening tcp 127.0.0.1:" << tcpPort << "\n";
+    std::cout << std::flush;
+}
+
 int
 runSweep(const TraceBundle &bundle, const CampaignOptions &opt,
          bool json, const std::string &out_path, TimingMode timing_mode)
@@ -261,10 +280,8 @@ runSweep(const TraceBundle &bundle, const CampaignOptions &opt,
     installShutdownHandlers();
     Result<CampaignResult> run =
         runSimulationCampaign(bundle, jobs, opt);
-    if (!run) {
-        std::cerr << "vrc_sim: " << run.error().describe() << "\n";
-        return 2;
-    }
+    if (!run)
+        return reportError(run.error(), 2);
     return reportCampaign(jobs, run.take(), json, out_path);
 }
 
@@ -277,16 +294,9 @@ runCoordinate(const TraceBundle &bundle,
     installShutdownHandlers();
     ShardCoordinator coordinator(opt);
     Status bound = coordinator.bind();
-    if (!bound) {
-        std::cerr << "vrc_sim: " << bound.error().describe() << "\n";
-        return 2;
-    }
-    if (!opt.listenUnix.empty())
-        std::cout << "listening unix " << opt.listenUnix << "\n";
-    if (coordinator.tcpPort() >= 0)
-        std::cout << "listening tcp 127.0.0.1:"
-                  << coordinator.tcpPort() << "\n";
-    std::cout << std::flush;
+    if (!bound)
+        return reportError(bound.error(), 2);
+    announceListeners(opt.listenUnix, coordinator.tcpPort());
 
     Result<CampaignResult> run = coordinator.run(bundle, jobs);
     ShardStats st = coordinator.stats();
@@ -298,10 +308,9 @@ runCoordinate(const TraceBundle &bundle,
               << " duplicates discarded, " << st.workersLost
               << " workers lost, " << st.workersQuarantined
               << " quarantined)\n";
-    if (!run) {
-        std::cerr << "vrc_sim: " << run.error().describe() << "\n";
-        return coordinator.conflictDetected() ? 6 : 2;
-    }
+    if (!run)
+        return reportError(run.error(),
+                           coordinator.conflictDetected() ? 6 : 2);
     return reportCampaign(jobs, run.take(), json, out_path);
 }
 
@@ -309,10 +318,8 @@ int
 runWorker(const ShardWorkerOptions &opt)
 {
     Result<ShardWorkerStats> run = runShardWorker(opt);
-    if (!run) {
-        std::cerr << "vrc_sim: " << run.error().describe() << "\n";
-        return 1;
-    }
+    if (!run)
+        return reportError(run.error(), 1);
     ShardWorkerStats st = run.take();
     std::cerr << "vrc_sim: worker '" << opt.name << "' done; "
               << st.assignments << " assignments, " << st.cellsRun
@@ -325,17 +332,9 @@ runServe(const ServeOptions &so)
 {
     ServeServer server(so);
     Status started = server.start();
-    if (!started) {
-        std::cerr << "vrc_sim: " << started.error().describe()
-                  << "\n";
-        return 2;
-    }
-    if (!so.unixPath.empty())
-        std::cout << "listening unix " << so.unixPath << "\n";
-    if (server.tcpPort() >= 0)
-        std::cout << "listening tcp 127.0.0.1:" << server.tcpPort()
-                  << "\n";
-    std::cout << std::flush;
+    if (!started)
+        return reportError(started.error(), 2);
+    announceListeners(so.unixPath, server.tcpPort());
     int code = server.waitUntilDrained();
     ServiceStats st = server.stats();
     std::cerr << "vrc_sim: drained; " << st.segmentsCompleted
@@ -517,15 +516,11 @@ main(int argc, char **argv)
         probeWritable("failure manifest (--manifest)",
                       campaign.manifest);
         ShardCoordinatorOptions co;
+        static_cast<ResilienceOptions &>(co) = campaign;
         co.listenUnix = serve_opt.unixPath;
         co.listenTcp = serve_opt.tcpPort;
         co.profileScale = scale;
         co.cellsPerShard = shard_cells;
-        co.deadlineSeconds = campaign.deadlineSeconds;
-        co.maxRetries = campaign.maxRetries;
-        co.checkpoint = campaign.checkpoint;
-        co.resume = campaign.resume;
-        co.manifest = campaign.manifest;
         return runCoordinate(generateTrace(profile), co, json,
                              out_path, timing_mode);
     }
@@ -538,11 +533,8 @@ main(int argc, char **argv)
         if (!trace_path.empty()) {
             Result<std::vector<TraceRecord>> loaded =
                 tryLoadTrace(trace_path);
-            if (!loaded) {
-                std::cerr << "vrc_sim: " << loaded.error().describe()
-                          << "\n";
-                return 2;
-            }
+            if (!loaded)
+                return reportError(loaded.error(), 2);
             bundle.profile = profile;
             bundle.records = loaded.take();
         } else {
