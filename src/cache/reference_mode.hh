@@ -50,26 +50,23 @@ referenceModeEnabled()
 }
 
 /**
- * Select the model for subsequently constructed tag stores. Returns
- * false (and stays on the SoA engine) when the legacy model was
- * compiled out; callers skip their differential run in that case.
+ * Select the model for subsequently constructed tag stores. Without
+ * the legacy model built in, stores stay on the SoA engine regardless
+ * (referenceModeEnabled() stays false).
  */
-inline bool
+inline void
 setReferenceMode(bool on)
 {
-    if (on && !referenceModelBuilt())
-        return false;
     detail::referenceModeFlag() = on;
-    return true;
 }
 
 /** RAII scope guard for the differential tests. */
 class ReferenceModeScope
 {
   public:
-    explicit ReferenceModeScope(bool on)
-        : _prev(referenceModeEnabled()), _engaged(setReferenceMode(on))
+    explicit ReferenceModeScope(bool on) : _prev(referenceModeEnabled())
     {
+        setReferenceMode(on);
     }
 
     ~ReferenceModeScope() { setReferenceMode(_prev); }
@@ -77,12 +74,8 @@ class ReferenceModeScope
     ReferenceModeScope(const ReferenceModeScope &) = delete;
     ReferenceModeScope &operator=(const ReferenceModeScope &) = delete;
 
-    /** False when the legacy model is not built into this binary. */
-    bool engaged() const { return _engaged; }
-
   private:
     bool _prev;
-    bool _engaged;
 };
 
 } // namespace vrc

@@ -10,8 +10,8 @@
  * runs of millions of transactions stay cheap.
  */
 
-#ifndef VRC_CHECK_EVENT_RING_HH
-#define VRC_CHECK_EVENT_RING_HH
+#ifndef VRC_CHECKING_EVENT_RING_HH
+#define VRC_CHECKING_EVENT_RING_HH
 
 #include <cstdint>
 #include <ostream>
@@ -229,4 +229,4 @@ class ProtocolEventRing
 
 } // namespace vrc
 
-#endif // VRC_CHECK_EVENT_RING_HH
+#endif // VRC_CHECKING_EVENT_RING_HH

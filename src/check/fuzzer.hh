@@ -17,8 +17,8 @@
  * meaningful.
  */
 
-#ifndef VRC_CHECK_FUZZER_HH
-#define VRC_CHECK_FUZZER_HH
+#ifndef VRC_CHECKING_FUZZER_HH
+#define VRC_CHECKING_FUZZER_HH
 
 #include <cstdint>
 #include <string>
@@ -150,4 +150,4 @@ FuzzOptions minimizeFailure(const FuzzOptions &failing);
 
 } // namespace vrc
 
-#endif // VRC_CHECK_FUZZER_HH
+#endif // VRC_CHECKING_FUZZER_HH

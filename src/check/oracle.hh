@@ -39,8 +39,8 @@
  * tests and the fuzzer install a collecting handler instead.
  */
 
-#ifndef VRC_CHECK_ORACLE_HH
-#define VRC_CHECK_ORACLE_HH
+#ifndef VRC_CHECKING_ORACLE_HH
+#define VRC_CHECKING_ORACLE_HH
 
 #include <cstdint>
 #include <functional>
@@ -172,4 +172,4 @@ class CoherenceOracle : public BusObserver, public EventObserver
 
 } // namespace vrc
 
-#endif // VRC_CHECK_ORACLE_HH
+#endif // VRC_CHECKING_ORACLE_HH

@@ -29,8 +29,8 @@
  *
  * The journal (CheckpointJournal) and the retry policy
  * (ResilienceOptions) are shared with the shard coordinator (shard.hh).
- * Fault injection (base/fault.hh, -DVRC_FAULTS=ON) hooks each attempt
- * so all of the above is exercised in CI rather than trusted on faith.
+ * Fault injection (base/fault.hh) hooks each attempt so all of the
+ * above is exercised in CI rather than trusted on faith.
  */
 
 #ifndef VRC_SIM_CAMPAIGN_HH

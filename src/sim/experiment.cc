@@ -1,6 +1,9 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -139,14 +142,24 @@ benchScaleFromArgs(int argc, char **argv, double quick)
 {
     double scale = 0.0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
+        char *end = nullptr;
+        if (std::strcmp(argv[i], "--quick") == 0) {
             scale = quick;
-        else if (std::strncmp(argv[i], "--scale=", 8) == 0)
-            scale = std::atof(argv[i] + 8);
-        else if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            ParallelRunner::setDefaultJobs(
-                static_cast<unsigned>(std::atoi(argv[i] + 7)));
-        else if (std::strncmp(argv[i], "--inject-faults=", 16) == 0) {
+        } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
+            const char *text = argv[i] + 8;
+            scale = std::strtod(text, &end);
+            if (end == text || *end != '\0' || !std::isfinite(scale) ||
+                scale <= 0.0)
+                fatal("--scale needs a positive number, got '", text,
+                      "'");
+        } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
+            const char *text = argv[i] + 7;
+            unsigned long jobs = std::strtoul(text, &end, 10);
+            if (!std::isdigit(static_cast<unsigned char>(*text)) ||
+                *end != '\0' || jobs > UINT_MAX)
+                fatal("--jobs needs a whole number, got '", text, "'");
+            ParallelRunner::setDefaultJobs(static_cast<unsigned>(jobs));
+        } else if (std::strncmp(argv[i], "--inject-faults=", 16) == 0) {
             Status armed = configureFaultInjection(argv[i] + 16);
             if (!armed)
                 fatal(armed.error().describe());

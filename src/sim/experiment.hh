@@ -148,7 +148,8 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> smallSizePairs();
 /**
  * Resolve the trace-length scale factor for bench binaries: 1.0 by
  * default, smaller when --quick is passed or VRC_QUICK is set in the
- * environment.
+ * environment. A malformed or non-positive --scale, or a non-numeric
+ * --jobs, is fatal.
  */
 double benchScaleFromArgs(int argc, char **argv, double quick = 0.05);
 

@@ -52,44 +52,20 @@ MpSimulator::MpSimulator(const MachineConfig &config,
 void
 MpSimulator::step(const TraceRecord &r)
 {
-    panicIfNot(r.cpu < _cpus.size(), "trace references an unknown CPU");
-    CacheHierarchy &h = *_cpus[r.cpu];
-    if (r.type == RefType::ContextSwitch) {
-        h.contextSwitch(r.pid);
-        // A switch issues no reference, but any transactions it did
-        // queue (none today) must not leak into the next reference.
-        if (_arbiter)
-            _arbiter->drain(_clocks);
-        return;
-    }
-    AccessOutcome outcome = h.access(MemAccess{r.type, r.va(), r.pid});
-    Tick cost = _costs[r.cpu][static_cast<int>(outcome)];
-    _cycles += cost;
-    if (_arbiter) {
-        // Cycle engine: the reference advances its CPU's clock by the
-        // composed level cost, then every bus transaction it issued
-        // (posted to the arbiter by SharedBus during access(),
-        // including soft-error retransmissions) wins the bus in grant
-        // order, stalling this CPU for queueing delay plus service.
-        _clocks[r.cpu].chargeAccess(cost);
-        _arbiter->drain(_clocks);
-    }
-    ++_refs;
-    if (_config.invariantPeriod != 0 &&
-        _refs % _config.invariantPeriod == 0) {
-        h.checkInvariants();
-    }
+    runBatch(&r, 1);
 }
 
 template <typename H>
 void
 MpSimulator::stepOn(H &h, const TraceRecord &r)
 {
-    // Mirrors step() exactly, with the hierarchy calls devirtualized:
-    // h's dynamic type is H (hierarchy classes are final), so the
-    // compiler emits direct calls it can inline into the replay loop.
+    // The hierarchy calls are devirtualized: h's dynamic type is H
+    // (hierarchy classes are final), so the compiler emits direct calls
+    // it can inline into the replay loop.
     if (r.type == RefType::ContextSwitch) {
         h.H::contextSwitch(r.pid);
+        // A switch issues no reference, but any transactions it did
+        // queue (none today) must not leak into the next reference.
         if (_arbiter)
             _arbiter->drain(_clocks);
         return;
@@ -98,6 +74,11 @@ MpSimulator::stepOn(H &h, const TraceRecord &r)
     Tick cost = _costs[r.cpu][static_cast<int>(outcome)];
     _cycles += cost;
     if (_arbiter) {
+        // Cycle engine: the reference advances its CPU's clock by the
+        // composed level cost, then every bus transaction it issued
+        // (posted to the arbiter by SharedBus during access(),
+        // including soft-error retransmissions) wins the bus in grant
+        // order, stalling this CPU for queueing delay plus service.
         _clocks[r.cpu].chargeAccess(cost);
         _arbiter->drain(_clocks);
     }
@@ -134,9 +115,7 @@ MpSimulator::runBatch(const TraceRecord *records, std::size_t n)
         replayTyped<RrNoInclHierarchy>(records, n);
         return;
     }
-    // Unknown kind (future-proofing): generic virtual replay.
-    for (std::size_t i = 0; i < n; ++i)
-        step(records[i]);
+    panic("unknown hierarchy kind ", static_cast<int>(_config.kind));
 }
 
 void
@@ -146,16 +125,22 @@ MpSimulator::run(const std::vector<TraceRecord> &records)
 }
 
 void
-MpSimulator::run(TraceStream &stream)
+MpSimulator::run(TraceStream &stream, std::uint64_t maxRecords)
 {
     // Streaming replay: records are decoded in batches and consumed as
     // they are produced, so the multi-million-reference traces never
     // exist in memory at once and the stream's per-record indirection
     // stays off the per-reference path.
     std::array<TraceRecord, kStreamBatch> buf;
-    std::size_t n;
-    while ((n = stream.nextBatch(buf.data(), buf.size())) != 0)
+    while (maxRecords > 0) {
+        std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(buf.size(), maxRecords));
+        std::size_t n = stream.nextBatch(buf.data(), want);
+        if (n == 0)
+            break;
         runBatch(buf.data(), n);
+        maxRecords -= n;
+    }
 }
 
 double

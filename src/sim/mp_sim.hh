@@ -85,18 +85,20 @@ class MpSimulator
     /**
      * Replay records straight from a generator without materializing
      * the trace (peak-RSS saver for the 3.3M-reference workloads).
+     * Stops after @p maxRecords records, leaving the rest of the
+     * stream for a later call (a warm-up cut).
      */
-    void run(TraceStream &stream);
+    void run(TraceStream &stream,
+             std::uint64_t maxRecords = ~std::uint64_t{0});
 
-    /** Process a single record. */
+    /** Process a single record (a one-record runBatch()). */
     void step(const TraceRecord &r);
 
     /**
      * Replay @p n records through the batch fast path: the hierarchy
      * type is resolved from the machine kind once per batch, so the
      * per-reference dispatch inside the loop is a direct (inlinable)
-     * call instead of a virtual one. step()-for-step identical to the
-     * generic path; step() remains for record-at-a-time callers.
+     * call instead of a virtual one.
      */
     void runBatch(const TraceRecord *records, std::size_t n);
 
@@ -228,7 +230,7 @@ class MpSimulator
     template <typename H>
     void replayTyped(const TraceRecord *records, std::size_t n);
 
-    /** One record through the typed loop (mirrors step()). */
+    /** One record through the typed loop. */
     template <typename H>
     void stepOn(H &h, const TraceRecord &r);
 

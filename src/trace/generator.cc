@@ -435,6 +435,10 @@ struct TraceStream::Impl
             switchesLeft[c] = n;
             switchInterval[c] = n > 0 ? perCpu / (n + 1) : 0;
             nextSwitch[c] = switchInterval[c];
+            // Each switch is paired with one of the CPU's engine
+            // records, so a CPU with fewer records than switches
+            // emits only as many switches as records.
+            total += perCpu + std::min<std::uint64_t>(n, perCpu);
         }
     }
 
@@ -489,6 +493,7 @@ struct TraceStream::Impl
     CpuId cursor = 0;
     bool owedEngineRecord = false;
     std::uint64_t produced = 0;
+    std::uint64_t total = 0;
 };
 
 TraceStream::TraceStream(const WorkloadProfile &profile)
@@ -525,7 +530,7 @@ TraceStream::produced() const
 std::uint64_t
 TraceStream::expectedTotal() const
 {
-    return _impl->profile.totalRefs + _impl->profile.contextSwitches;
+    return _impl->total;
 }
 
 const WorkloadProfile &

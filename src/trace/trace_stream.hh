@@ -52,7 +52,10 @@ class TraceStream
     /** Records produced so far. */
     std::uint64_t produced() const;
 
-    /** Expected total record count (references + context switches). */
+    /**
+     * Exact total record count the stream produces (references +
+     * context switches), known before the first record is drawn.
+     */
     std::uint64_t expectedTotal() const;
 
     /** The profile driving the stream. */

@@ -105,7 +105,7 @@ class SoftErrorArm
   public:
     explicit SoftErrorArm(std::uint64_t seed)
     {
-        if (seed != 0 && softErrorsCompiledIn()) {
+        if (seed != 0) {
             auto st = configureSoftErrors("seed=" +
                                           std::to_string(seed));
             armed = st.ok();
@@ -254,7 +254,7 @@ randomConfigs(std::size_t n)
                                     : CoherencePolicy::WriteUpdate;
         c.timingMode =
             rng() % 3 == 0 ? TimingMode::Cycle : TimingMode::Analytic;
-        if (softErrorsCompiledIn() && rng() % 3 == 0)
+        if (rng() % 3 == 0)
             c.softErrorSeed = rng() % 100000 + 1;
         out.push_back(c);
     }

@@ -102,6 +102,32 @@ TEST(TraceStreamTest, ExpectedTotalCoversProducedRecords)
     EXPECT_GT(stream.produced(), 0u);
 }
 
+TEST(TraceStreamTest, ExpectedTotalIsExact)
+{
+    // Odd scales leave totalRefs indivisible by the CPU count; the
+    // last profile has more switches than any CPU has records.
+    std::vector<WorkloadProfile> profiles;
+    for (const auto &p : paperProfiles()) {
+        profiles.push_back(scaled(p, 0.01));
+        profiles.push_back(scaled(p, 0.0037));
+    }
+    WorkloadProfile dense = scaled(popsProfile(), 0.0001);
+    dense.totalRefs = 1003;
+    dense.contextSwitches = 5000;
+    profiles.push_back(dense);
+
+    for (const WorkloadProfile &p : profiles) {
+        TraceStream stream(p);
+        std::uint64_t expected = stream.expectedTotal();
+        TraceRecord r;
+        while (stream.next(r)) {
+        }
+        EXPECT_EQ(stream.produced(), expected)
+            << p.name << " refs=" << p.totalRefs
+            << " switches=" << p.contextSwitches;
+    }
+}
+
 TEST(TraceStreamTest, MoveTransfersState)
 {
     WorkloadProfile p = scaled(popsProfile(), 0.005);

@@ -5,10 +5,12 @@
  * Runs one of the built-in workloads (or a saved binary trace) through
  * a configurable machine and prints the full statistics: hit ratios by
  * type and level, synonym/coherence/write-buffer activity, and the
- * Section-4 access-time model.
+ * Section-4 access-time model. A generated trace is streamed through
+ * the simulator as it is produced, never materialized.
  *
  * Usage:
- *   vrc_sim --profile=pops [--trace=file.vrct] [--org=vr|rr|rr-noincl]
+ *   vrc_sim --profile=pops [--trace=file.vrct]
+ *           [--org=vr|rr|rr-noincl|vr-rlt]
  *           [--l1=16384] [--l2=262144] [--assoc1=1] [--assoc2=1]
  *           [--block1=16] [--block2=16] [--split] [--scale=1.0]
  *           [--timing=analytic|cycle] [--check] [--per-cpu]
@@ -19,6 +21,8 @@
  * then quarantined instead of aborting the sweep.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -67,8 +71,6 @@ usage()
         "                   closed form, or the cycle-approximate bus-\n"
         "                   contention model (default analytic; the\n"
         "                   architectural counters are identical)\n"
-        "  --stream         generate records on the fly instead of\n"
-        "                   materializing the trace (lower peak RSS)\n"
         "  --check          verify invariants during the run\n"
         "  --per-cpu        per-CPU statistics table\n"
         "  --json           machine-readable JSON output only\n"
@@ -356,7 +358,7 @@ main(int argc, char **argv)
     std::uint32_t l1 = 16 * 1024, l2 = 256 * 1024;
     std::uint32_t assoc1 = 1, assoc2 = 1, block1 = 16, block2 = 16;
     bool split = false, check = false, per_cpu = false;
-    bool json = false, stream = false, summary_only = false;
+    bool json = false, summary_only = false;
     bool sweep = false, serve = false;
     bool coordinate = false, shard_worker = false;
     ShardWorkerOptions worker_opt;
@@ -402,8 +404,6 @@ main(int argc, char **argv)
             timing_mode = *m;
         } else if (std::strcmp(argv[i], "--split") == 0)
             split = true;
-        else if (std::strcmp(argv[i], "--stream") == 0)
-            stream = true;
         else if (std::strcmp(argv[i], "--check") == 0)
             check = true;
         else if (std::strcmp(argv[i], "--per-cpu") == 0)
@@ -503,12 +503,9 @@ main(int argc, char **argv)
         ? profileByName(profile_name)
         : loadProfile(profile_file);
     profile = scaled(profile, scale);
-    if (stream && (!trace_path.empty() || warmup > 0.0))
-        fatal("--stream cannot be combined with --trace or --warmup");
     if (coordinate) {
-        if (stream || sweep)
-            fatal("--coordinate cannot be combined with --stream "
-                  "or --sweep");
+        if (sweep)
+            fatal("--coordinate cannot be combined with --sweep");
         if (!trace_path.empty() || !profile_file.empty())
             fatal("--coordinate needs a built-in --profile: workers "
                   "regenerate the trace from its name");
@@ -525,8 +522,6 @@ main(int argc, char **argv)
                              out_path, timing_mode);
     }
     if (sweep) {
-        if (stream)
-            fatal("--sweep cannot be combined with --stream");
         probeWritable("campaign result (--out)", out_path);
         probeWritable("failure manifest (--manifest)", campaign.manifest);
         TraceBundle bundle;
@@ -543,12 +538,13 @@ main(int argc, char **argv)
         return runSweep(bundle, campaign, json, out_path, timing_mode);
     }
 
+    // A saved trace is loaded whole; a generated one is streamed.
     std::vector<TraceRecord> records;
-    if (!trace_path.empty()) {
+    std::optional<TraceStream> stream;
+    if (!trace_path.empty())
         records = loadTrace(trace_path);
-    } else if (!stream) {
-        records = generateTrace(profile).records;
-    }
+    else
+        stream.emplace(profile);
 
     MachineConfig mc =
         makeMachineConfig(kind, l1, l2, profile.pageSize, split);
@@ -578,21 +574,23 @@ main(int argc, char **argv)
             sim.hierarchy(c).setObserver(&printer);
     }
 
+    // Replay up to @p n of the records still pending in the source.
+    std::size_t loaded_next = 0;
+    auto replay = [&](std::size_t n) {
+        if (stream)
+            return sim.run(*stream, n);
+        n = std::min(n, records.size() - loaded_next);
+        sim.runBatch(records.data() + loaded_next, n);
+        loaded_next += n;
+    };
     try {
-        if (stream) {
-            TraceStream src(profile);
-            sim.run(src);
-        } else if (warmup > 0.0 && warmup < 1.0) {
-            std::size_t cut = static_cast<std::size_t>(
-                records.size() * warmup);
-            for (std::size_t i = 0; i < cut; ++i)
-                sim.step(records[i]);
+        if (warmup > 0.0 && warmup < 1.0) {
+            std::size_t total =
+                stream ? stream->expectedTotal() : records.size();
+            replay(static_cast<std::size_t>(total * warmup));
             sim.resetStats();
-            for (std::size_t i = cut; i < records.size(); ++i)
-                sim.step(records[i]);
-        } else {
-            sim.run(records);
         }
+        replay(SIZE_MAX);
     } catch (const FaultUnrecoverable &mc_fault) {
         std::cerr << "vrc_sim: machine check after "
                   << sim.refsProcessed()
