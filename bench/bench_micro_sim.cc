@@ -1,14 +1,19 @@
 /**
  * @file
  * Google-benchmark microbenchmarks: raw throughput of the building
- * blocks (tag store, TLB, trace generation) and end-to-end simulation
- * speed for each organization, in references per second.
+ * blocks (tag store, TLB, RNG, address sampler, trace generation) and
+ * end-to-end simulation speed for each organization, in references per
+ * second.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "base/rng.hh"
 #include "cache/tag_store.hh"
 #include "sim/experiment.hh"
+#include "trace/trace_stream.hh"
 #include "vm/tlb.hh"
 
 namespace
@@ -68,6 +73,59 @@ BM_TraceGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TraceGeneration)->Arg(50'000);
+
+void
+BM_RngBelow(benchmark::State &state)
+{
+    Rng rng(1);
+    const auto bound = static_cast<std::uint64_t>(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.below(bound));
+}
+BENCHMARK(BM_RngBelow)->Arg(1000);
+
+void
+BM_RngChance(benchmark::State &state)
+{
+    Rng rng(1);
+    const double p = static_cast<double>(state.range(0)) / 100.0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.chance(p));
+}
+BENCHMARK(BM_RngChance)->Arg(30);
+
+void
+BM_SamplerSample(benchmark::State &state)
+{
+    WorkloadProfile p = thorProfile();
+    NestedWorkingSetSampler sampler(p.dataLevels, p.dataBlockBytes,
+                                    VirtualLayout::privateDataBase);
+    Rng rng(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sampler.sample(rng));
+}
+BENCHMARK(BM_SamplerSample);
+
+// Streams thor in the simulator's batch size without materializing the
+// trace, so this is generation alone.
+void
+BM_TraceStream(benchmark::State &state)
+{
+    WorkloadProfile p = thorProfile();
+    p.totalRefs = static_cast<std::uint64_t>(state.range(0));
+    std::vector<TraceRecord> batch(4096);
+    std::int64_t records = 0;
+    for (auto _ : state) {
+        TraceStream stream(p);
+        while (std::size_t n = stream.nextBatch(batch.data(), batch.size())) {
+            benchmark::DoNotOptimize(batch.data());
+            benchmark::ClobberMemory();
+            records += static_cast<std::int64_t>(n);
+        }
+    }
+    state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_TraceStream)->Arg(200'000);
 
 const TraceBundle &
 microBundle()

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <numeric>
 
 #include "base/bitops.hh"
 #include "base/log.hh"
@@ -28,12 +28,13 @@ NestedWorkingSetSampler::NestedWorkingSetSampler(
               [](const auto &a, const auto &b) { return a.bytes < b.bytes; });
     for (const auto &l : _levels)
         _weights.push_back(l.weight);
+    _weightTotal = std::accumulate(_weights.begin(), _weights.end(), 0.0);
 }
 
 std::uint32_t
 NestedWorkingSetSampler::sample(Rng &rng) const
 {
-    std::size_t li = rng.weighted(_weights);
+    std::size_t li = rng.weighted(_weights, _weightTotal);
     std::uint32_t blocks = std::max<std::uint32_t>(
         1, _levels[li].bytes / _blockBytes);
     std::uint32_t block = static_cast<std::uint32_t>(rng.below(blocks));
@@ -131,6 +132,8 @@ class CpuEngine
               GenStats &stats)
         : _p(p), _cpu(cpu), _rng(std::move(rng)), _stats(stats),
           _procWeights(procWeights(p.procCount, p.procZipfTheta)),
+          _procWeightTotal(std::accumulate(_procWeights.begin(),
+                                           _procWeights.end(), 0.0)),
           _dataSampler(p.dataLevels, p.dataBlockBytes,
                        VirtualLayout::privateDataBase),
           _sharedSampler(
@@ -179,9 +182,12 @@ class CpuEngine
     TraceRecord
     next()
     {
-        if (!_pending.empty()) {
-            TraceRecord r = _pending.front();
-            _pending.pop_front();
+        if (_pendingHead < _pending.size()) {
+            TraceRecord r = _pending[_pendingHead++];
+            if (_pendingHead == _pending.size()) {
+                _pending.clear();
+                _pendingHead = 0;
+            }
             note(r);
             return r;
         }
@@ -270,7 +276,7 @@ class CpuEngine
 
         ps.callStack.emplace_back(ps.pc, frame);
         std::uint32_t callee = static_cast<std::uint32_t>(
-            _rng.weighted(_procWeights));
+            _rng.weighted(_procWeights, _procWeightTotal));
         ps.procEntry = procEntryAddr(callee);
         ps.pc = ps.procEntry;
     }
@@ -281,7 +287,7 @@ class CpuEngine
         if (ps.callStack.empty()) {
             // Main loop wrapped around: restart a fresh top procedure.
             std::uint32_t callee = static_cast<std::uint32_t>(
-                _rng.weighted(_procWeights));
+                _rng.weighted(_procWeights, _procWeightTotal));
             ps.procEntry = procEntryAddr(callee);
             ps.pc = ps.procEntry;
             return;
@@ -391,13 +397,17 @@ class CpuEngine
     Rng _rng;
     GenStats &_stats;
     std::vector<double> _procWeights;
+    double _procWeightTotal;
     NestedWorkingSetSampler _dataSampler;
     NestedWorkingSetSampler _sharedSampler;
     double _readsPerInstr = 0;
     double _bgWritesPerInstr = 0;
     std::vector<ProcessState> _procs;
     std::size_t _active = 0;
-    std::deque<TraceRecord> _pending;
+    /** References queued behind the last instruction, FIFO from
+     *  _pendingHead; refilled only once drained. */
+    std::vector<TraceRecord> _pending;
+    std::size_t _pendingHead = 0;
 };
 
 } // namespace
@@ -414,15 +424,20 @@ class CpuEngine
  */
 struct TraceStream::Impl
 {
+    /** @p p, after panicking if it fails validateProfile(). */
+    static const WorkloadProfile &
+    checked(const WorkloadProfile &p)
+    {
+        if (Status valid = validateProfile(p); !valid)
+            panic("invalid workload profile: ", valid.error().message);
+        return p;
+    }
+
     explicit Impl(const WorkloadProfile &p)
-        : profile(p), perCpu(p.totalRefs / p.numCpus),
+        : profile(checked(p)), perCpu(p.totalRefs / p.numCpus),
           nextSwitch(p.numCpus, 0), switchInterval(p.numCpus, 0),
           switchesLeft(p.numCpus, 0), emitted(p.numCpus, 0)
     {
-        panicIfNot(profile.numCpus >= 1, "need at least one CPU");
-        panicIfNot(std::abs(profile.instrFrac + profile.readFrac +
-                            profile.writeFrac - 1.0) < 0.05,
-                   "reference mix should sum to ~1");
         Rng root(profile.seed);
         engines.reserve(profile.numCpus);
         for (CpuId c = 0; c < profile.numCpus; ++c)
@@ -480,7 +495,12 @@ struct TraceStream::Impl
         return false;
     }
 
-    void advance() { cursor = (cursor + 1) % profile.numCpus; }
+    void
+    advance()
+    {
+        if (++cursor == profile.numCpus)
+            cursor = 0;
+    }
 
     WorkloadProfile profile;
     GenStats genStats;

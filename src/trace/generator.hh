@@ -113,6 +113,7 @@ class NestedWorkingSetSampler
   private:
     std::vector<WorkingSetLevel> _levels;
     std::vector<double> _weights;
+    double _weightTotal;
     std::uint32_t _blockBytes;
     std::uint32_t _regionBase;
 };

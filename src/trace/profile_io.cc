@@ -197,6 +197,11 @@ tryReadProfile(std::istream &is, const std::string &context)
                                "' for profile key '", key, "'");
         }
     }
+    if (Status valid = validateProfile(p); !valid) {
+        Error err = valid.error();
+        err.context = context;
+        return err;
+    }
     return p;
 }
 

@@ -18,6 +18,8 @@
 
 #include "trace/workload.hh"
 
+#include <cmath>
+
 #include "base/log.hh"
 
 namespace vrc
@@ -156,6 +158,41 @@ std::vector<WorkloadProfile>
 paperProfiles()
 {
     return {thorProfile(), popsProfile(), abaqusProfile()};
+}
+
+Status
+validateProfile(const WorkloadProfile &p)
+{
+    auto violated = [](const char *key, auto value,
+                       const char *constraint) {
+        return makeError(ErrorKind::Parse, "profile key '", key, "' = ",
+                         value, ": ", constraint);
+    };
+    if (p.numCpus == 0)
+        return violated("num_cpus", p.numCpus, "must be at least 1");
+    if (p.processesPerCpu == 0)
+        return violated("processes_per_cpu", p.processesPerCpu,
+                        "must be at least 1");
+    if (p.pageSize == 0)
+        return violated("page_size", p.pageSize, "must be at least 1");
+    if (p.procCount == 0)
+        return violated("proc_count", p.procCount, "must be at least 1");
+    if (p.procStride == 0)
+        return violated("proc_stride", p.procStride, "must be at least 1");
+    if (p.callWritesMin > p.callWritesMax)
+        return violated("call_writes_min", p.callWritesMin,
+                        "must not exceed call_writes_max");
+    if (p.dataBlockBytes == 0)
+        return violated("data_block_bytes", p.dataBlockBytes,
+                        "must be at least 1");
+    if (p.sharedPages == 0)
+        return violated("shared_pages", p.sharedPages,
+                        "must be at least 1");
+    if (!(std::abs(p.instrFrac + p.readFrac + p.writeFrac - 1.0) < 0.05))
+        return violated("instr_frac", p.instrFrac,
+                        "instr_frac + read_frac + write_frac must be "
+                        "within 0.05 of 1");
+    return okStatus();
 }
 
 WorkloadProfile

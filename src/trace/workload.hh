@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "base/error.hh"
 #include "base/histogram.hh"
 #include "base/types.hh"
 
@@ -148,6 +149,14 @@ bool isBuiltinProfile(const std::string &name);
 
 /** All three paper profiles, in Table 5 order. */
 std::vector<WorkloadProfile> paperProfiles();
+
+/**
+ * Check the constraints generation relies on (non-zero counts and
+ * divisors, call_writes_min <= call_writes_max, a reference mix
+ * summing to ~1). A violation is a Parse error naming the profile-file
+ * key and the constraint.
+ */
+Status validateProfile(const WorkloadProfile &p);
 
 /**
  * Scale a profile's length (references and context switches) by @p factor,

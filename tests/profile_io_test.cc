@@ -7,9 +7,11 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "trace/generator.hh"
 #include "trace/profile_io.hh"
+#include "trace/trace_stream.hh"
 
 namespace vrc
 {
@@ -102,6 +104,66 @@ TEST(ProfileIoDeathTest, BadLevelSyntaxRejected)
     ss << "data_levels = 1024-0.5\n";
     EXPECT_EXIT(readProfile(ss), ::testing::ExitedWithCode(1),
                 "bad data_levels");
+}
+
+/** One invalid profile-file line and the key its error must name. */
+struct InvalidLine
+{
+    const char *name;
+    const char *line;
+    const char *key;
+};
+
+// Keeps the pointer bytes out of the test names ctest lists.
+void
+PrintTo(const InvalidLine &l, std::ostream *os)
+{
+    *os << l.name;
+}
+
+class ProfileIoInvalidValue : public ::testing::TestWithParam<InvalidLine>
+{
+};
+
+// Each of these used to hang or crash generation (a wrapped range(),
+// a division by zero, an empty segment); the reader must now refuse
+// them with the key and the constraint.
+TEST_P(ProfileIoInvalidValue, RejectedWithKeyAndConstraint)
+{
+    std::stringstream ss;
+    ss << "name = broken\n" << GetParam().line << "\n";
+    Result<WorkloadProfile> r = tryReadProfile(ss, "broken.prof");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, ErrorKind::Parse);
+    EXPECT_EQ(r.error().context, "broken.prof");
+    EXPECT_NE(r.error().message.find(GetParam().key), std::string::npos)
+        << r.error().describe();
+    EXPECT_NE(r.error().message.find("must"), std::string::npos)
+        << r.error().describe();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, ProfileIoInvalidValue,
+    ::testing::Values(
+        InvalidLine{"CallWritesMinAboveMax",
+                    "call_writes_min = 20\ncall_writes_max = 11",
+                    "call_writes_min"},
+        InvalidLine{"ZeroDataBlockBytes", "data_block_bytes = 0",
+                    "data_block_bytes"},
+        InvalidLine{"ZeroCpus", "num_cpus = 0", "num_cpus"},
+        InvalidLine{"ZeroProcessesPerCpu", "processes_per_cpu = 0",
+                    "processes_per_cpu"},
+        InvalidLine{"ZeroProcStride", "proc_stride = 0", "proc_stride"},
+        InvalidLine{"ZeroProcCount", "proc_count = 0", "proc_count"}),
+    [](const ::testing::TestParamInfo<InvalidLine> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(ProfileIoDeathTest, TraceStreamRejectsInvalidProfile)
+{
+    WorkloadProfile p = scaled(popsProfile(), 0.001);
+    p.numCpus = 0;
+    EXPECT_DEATH(TraceStream stream(p), "invalid workload profile");
 }
 
 TEST(ProfileIoTest, FileRoundTrip)

@@ -128,6 +128,67 @@ TEST(TraceStreamTest, ExpectedTotalIsExact)
     }
 }
 
+/** FNV-1a over each record's fields, little-endian, in stream order. */
+std::uint64_t
+contentHash(TraceStream &stream, std::uint64_t &records)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    records = 0;
+    TraceRecord r;
+    while (stream.next(r)) {
+        mix(r.vaddr, 4);
+        mix(r.pid, 2);
+        mix(r.cpu, 1);
+        mix(static_cast<std::uint8_t>(r.type), 1);
+        ++records;
+    }
+    return h;
+}
+
+// The generator's exact output, recorded when it still drew through
+// <random>. Every golden and equivalence check downstream depends on
+// these bytes, so a drift fails here first, under one clear name.
+TEST(TraceStreamTest, PinnedContentHash)
+{
+    struct Pin
+    {
+        const char *profile;
+        std::uint64_t hash, records, instr, reads, writes, calls,
+            callWrites, switches;
+    };
+    const Pin pins[] = {
+        {"pops", 0x85abea2f0ee7e12cull, 65720, 34618, 25884, 5218, 154,
+         1392, 0},
+        {"thor", 0xf6f3b02687fa243eull, 65660, 30646, 28045, 6969, 168,
+         1434, 0},
+        {"abaqus", 0xcf32ef17387f246bull, 23926, 10293, 12045, 1582, 44,
+         362, 6},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.profile);
+        TraceStream stream(scaled(profileByName(pin.profile), 0.02));
+        std::uint64_t records = 0;
+        std::uint64_t hash = contentHash(stream, records);
+        EXPECT_EQ(hash, pin.hash)
+            << "the trace generator's output changed: every golden and "
+               "recorded result built from this profile changes with it";
+        EXPECT_EQ(records, pin.records);
+        const GenStats &g = stream.stats();
+        EXPECT_EQ(g.totalInstr, pin.instr);
+        EXPECT_EQ(g.totalReads, pin.reads);
+        EXPECT_EQ(g.totalWrites, pin.writes);
+        EXPECT_EQ(g.totalCalls, pin.calls);
+        EXPECT_EQ(g.callWriteCount, pin.callWrites);
+        EXPECT_EQ(g.contextSwitches, pin.switches);
+    }
+}
+
 TEST(TraceStreamTest, MoveTransfersState)
 {
     WorkloadProfile p = scaled(popsProfile(), 0.005);
