@@ -362,6 +362,8 @@ struct ServeServer::Impl
     {
         Session &s = *w.session;
         const SubmitRequest &req = w.submit;
+        if (opt.beforeSegment)
+            opt.beforeSegment(req.segmentId);
 
         SimSummary summary;
         std::optional<Error> err;

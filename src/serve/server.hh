@@ -28,6 +28,7 @@
 #define VRC_SERVE_SERVER_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,6 +79,13 @@ struct ServeOptions
 
     /** Service manifest path (written atomically on drain). */
     std::string manifest;
+
+    /**
+     * Called on the worker thread just before each admitted segment
+     * replays; empty = none. Tests hold a segment in flight with it,
+     * so that a later frame provably arrives while it still runs.
+     */
+    std::function<void(std::uint64_t segment_id)> beforeSegment;
 };
 
 /** Per-session protocol state (the session state machine). */

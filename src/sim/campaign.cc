@@ -169,18 +169,18 @@ ResilienceOptions::backoffBefore(unsigned retry) const
 }
 
 std::uint64_t
-hashWorkloadJobs(const TraceBundle &bundle, const SimJob *jobs,
-                 std::size_t n)
+hashWorkloadJobs(const std::string &name, std::uint64_t seed,
+                 std::uint64_t records, const SimJob *jobs, std::size_t n)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto word = [&h](std::uint64_t v) {
         for (int i = 0; i < 8; ++i, v >>= 8)
             h = (h ^ (v & 0xFF)) * 0x100000001b3ull;
     };
-    for (char c : bundle.profile.name)
+    for (char c : name)
         h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    word(bundle.profile.seed);
-    word(bundle.records.size());
+    word(seed);
+    word(records);
     for (std::size_t i = 0; i < n; ++i) {
         const SimJob &j = jobs[i];
         word(static_cast<std::uint64_t>(j.kind));
@@ -194,11 +194,20 @@ hashWorkloadJobs(const TraceBundle &bundle, const SimJob *jobs,
 }
 
 std::string
-campaignKey(const TraceBundle &bundle, const std::vector<SimJob> &jobs)
+campaignKey(const WorkloadProfile &profile, std::uint64_t records,
+            const std::vector<SimJob> &jobs)
 {
     std::ostringstream os;
-    os << std::hex << hashWorkloadJobs(bundle, jobs.data(), jobs.size());
+    os << std::hex
+       << hashWorkloadJobs(profile.name, profile.seed, records,
+                           jobs.data(), jobs.size());
     return os.str();
+}
+
+std::string
+campaignKey(const TraceBundle &bundle, const std::vector<SimJob> &jobs)
+{
+    return campaignKey(bundle.profile, bundle.records.size(), jobs);
 }
 
 CampaignRunner::CampaignRunner(CampaignOptions opt)

@@ -157,10 +157,20 @@ class CampaignRunner
  * followed by the knobs of @p n jobs. campaignKey() hashes the whole
  * grid, shardCellId() a single job.
  */
-std::uint64_t hashWorkloadJobs(const TraceBundle &bundle,
-                               const SimJob *jobs, std::size_t n);
+std::uint64_t hashWorkloadJobs(const std::string &name, std::uint64_t seed,
+                               std::uint64_t records, const SimJob *jobs,
+                               std::size_t n);
 
-/** Key for a simulation campaign: workload identity + job list. */
+/**
+ * Key for a simulation campaign: workload identity + job list. The
+ * identity is @p profile's name and seed plus its trace's exact
+ * @p records count, so a key needs no generated trace.
+ */
+std::string campaignKey(const WorkloadProfile &profile,
+                        std::uint64_t records,
+                        const std::vector<SimJob> &jobs);
+
+/** campaignKey() of a generated or loaded trace. */
 std::string campaignKey(const TraceBundle &bundle,
                         const std::vector<SimJob> &jobs);
 

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "base/threads.hh"
+
 namespace vrc
 {
 
@@ -22,8 +24,7 @@ ParallelRunner::defaultJobs()
         if (v >= 1)
             return static_cast<unsigned>(v);
     }
-    unsigned hc = std::thread::hardware_concurrency();
-    return hc ? hc : 1;
+    return hardwareThreads();
 }
 
 void

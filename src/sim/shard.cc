@@ -37,9 +37,16 @@ constexpr const char *conflictPrefix = "conflicting summaries";
 } // namespace
 
 std::uint64_t
+shardCellId(const WorkloadProfile &profile, std::uint64_t records,
+            const SimJob &job)
+{
+    return hashWorkloadJobs(profile.name, profile.seed, records, &job, 1);
+}
+
+std::uint64_t
 shardCellId(const TraceBundle &bundle, const SimJob &job)
 {
-    return hashWorkloadJobs(bundle, &job, 1);
+    return shardCellId(bundle.profile, bundle.records.size(), job);
 }
 
 bool
@@ -149,7 +156,7 @@ struct ShardCoordinator::Impl
     std::condition_variable cv;
     std::atomic<bool> stopping{false};
 
-    const TraceBundle *bundle = nullptr;
+    std::string profileName;
     const std::vector<SimJob> *jobs = nullptr;
     std::string key;
     std::size_t n = 0;
@@ -527,7 +534,7 @@ struct ShardCoordinator::Impl
             ShardAssignment assign;
             assign.assignId = nextAssignId++;
             assign.campaignKey = key;
-            assign.profileName = bundle->profile.name;
+            assign.profileName = profileName;
             assign.scale = opt.profileScale;
             assign.cells.reserve(cells.size());
             for (std::size_t idx : cells) {
@@ -637,6 +644,14 @@ Result<CampaignResult>
 ShardCoordinator::run(const TraceBundle &bundle,
                       const std::vector<SimJob> &jobs)
 {
+    return run(bundle.profile, bundle.records.size(), jobs);
+}
+
+Result<CampaignResult>
+ShardCoordinator::run(const WorkloadProfile &profile,
+                      std::uint64_t records,
+                      const std::vector<SimJob> &jobs)
+{
     Impl &im = *_impl;
     if (!im.listener.bound()) {
         Status bound = bind();
@@ -644,9 +659,9 @@ ShardCoordinator::run(const TraceBundle &bundle,
             return bound.error();
     }
 
-    im.bundle = &bundle;
+    im.profileName = profile.name;
     im.jobs = &jobs;
-    im.key = campaignKey(bundle, jobs);
+    im.key = campaignKey(profile, records, jobs);
     im.n = jobs.size();
     im.res.summaries.resize(im.n);
     im.res.completed.assign(im.n, false);
@@ -657,7 +672,7 @@ ShardCoordinator::run(const TraceBundle &bundle,
 
     im.cellIds.resize(im.n);
     for (std::size_t i = 0; i < im.n; ++i) {
-        im.cellIds[i] = shardCellId(bundle, jobs[i]);
+        im.cellIds[i] = shardCellId(profile, records, jobs[i]);
         auto [it, fresh] = im.idToIndex.emplace(im.cellIds[i], i);
         if (!fresh)
             return makeError(ErrorKind::Bounds, "cells ", it->second,

@@ -47,10 +47,14 @@ namespace vrc
 
 /**
  * Content-derived stable cell id: a hash of the workload identity
- * (profile name, seed, record count) and the job's full knob set.
- * Independent of the cell's position in -- or the size of -- the job
- * grid, so ids survive grid growth and reordering.
+ * (profile name, seed, the trace's exact record count) and the job's
+ * full knob set. Independent of the cell's position in -- or the size
+ * of -- the job grid, so ids survive grid growth and reordering.
  */
+std::uint64_t shardCellId(const WorkloadProfile &profile,
+                          std::uint64_t records, const SimJob &job);
+
+/** shardCellId() of a generated or loaded trace. */
 std::uint64_t shardCellId(const TraceBundle &bundle, const SimJob &job);
 
 /** True for the Mismatch errors that mean "conflicting summaries". */
@@ -101,10 +105,10 @@ struct ShardCoordinatorOptions : ResilienceOptions
     int listenTcp = -1;     ///< TCP port (0 = ephemeral); -1 = none
 
     /**
-     * The profile scale the bundle was generated with. Workers
+     * The scale that produced the profile run() is given. Workers
      * regenerate the trace from (profile name, this exact double), so
-     * it must match the coordinator's bundle or results will silently
-     * describe a different trace.
+     * it must be that scale or results will silently describe a
+     * different trace.
      */
     double profileScale = 1.0;
 
@@ -146,12 +150,19 @@ class ShardCoordinator
     int tcpPort() const;
 
     /**
-     * Drive @p jobs over @p bundle through the connected workers.
+     * Drive @p jobs over the trace of @p profile, which holds exactly
+     * @p records records (traceRecordCount()), through the connected
+     * workers. The coordinator never generates the trace: workers do.
      * Returns the same CampaignResult a single-process sweep would,
      * with quarantined cells for work no worker could finish. A
      * conflicting duplicate result aborts the run with an error for
      * which conflictDetected() is true.
      */
+    Result<CampaignResult> run(const WorkloadProfile &profile,
+                               std::uint64_t records,
+                               const std::vector<SimJob> &jobs);
+
+    /** run() over an already generated or loaded trace. */
     Result<CampaignResult> run(const TraceBundle &bundle,
                                const std::vector<SimJob> &jobs);
 

@@ -3,11 +3,17 @@
 #include "trace/trace_stream.hh"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <thread>
 
 #include "base/bitops.hh"
 #include "base/log.hh"
+#include "base/threads.hh"
 #include "vm/addr_space.hh"
 
 namespace vrc
@@ -416,56 +422,281 @@ class CpuEngine
 // TraceStream: incremental generation
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** @p p, after panicking if it fails validateProfile(). */
+const WorkloadProfile &
+checkedProfile(const WorkloadProfile &p)
+{
+    if (Status valid = validateProfile(p); !valid)
+        panic("invalid workload profile: ", valid.error().message);
+    return p;
+}
+
+/** Context switches assigned to @p cpu: remainder to low CPUs. */
+std::uint32_t
+switchesFor(const WorkloadProfile &p, CpuId cpu)
+{
+    return p.contextSwitches / p.numCpus +
+        (cpu < p.contextSwitches % p.numCpus ? 1 : 0);
+}
+
+/** Records per ring slot, and slots per lane (128 KiB a lane). */
+constexpr std::size_t kLaneBatch = 4096;
+constexpr std::size_t kLaneSlots = 4;
+
 /**
- * Streaming state: the per-CPU engines plus the round-robin interleave
- * cursor. The emission order is identical to the historical
- * generateTrace() loop: CPUs are visited round-robin; a visit first
- * emits a due context-switch marker, then one engine record.
+ * One CPU's share of the trace: its engine, its own ground truth, its
+ * context-switch schedule and a bounded ring of record batches the
+ * engine fills ahead of the merge. A due switch marker goes into the
+ * ring directly before the engine record of the same merge visit, so
+ * the ring holds exactly this CPU's subsequence of the merged trace.
+ */
+struct Lane
+{
+    Lane(const WorkloadProfile &p, CpuId cpu, Rng rng,
+         std::uint64_t per_cpu)
+        : engine(p, cpu, std::move(rng), stats), cpu(cpu),
+          perCpu(per_cpu), switchesLeft(switchesFor(p, cpu)),
+          slots(kLaneSlots * kLaneBatch)
+    {
+        switchInterval = switchesLeft > 0 ? perCpu / (switchesLeft + 1)
+                                          : 0;
+        nextSwitch = switchInterval;
+    }
+
+    /** Generate the next batch into @p out; returns its length. */
+    std::size_t
+    fillBatch(TraceRecord *out)
+    {
+        std::size_t n = 0;
+        while (n < kLaneBatch && generated < perCpu) {
+            if (switchesLeft > 0 && generated >= nextSwitch) {
+                // A marker never ends a batch without its record.
+                if (n + 2 > kLaneBatch)
+                    break;
+                out[n++] = makeContextSwitch(cpu, engine.contextSwitch());
+                switchesLeft -= 1;
+                nextSwitch += switchInterval;
+            }
+            out[n++] = engine.next();
+            generated += 1;
+        }
+        return n;
+    }
+
+    bool finished() const { return generated >= perCpu; }
+
+    // Producer-only: touched by the owning generator thread alone.
+    GenStats stats;
+    CpuEngine engine;
+    CpuId cpu;
+    std::uint64_t perCpu;
+    std::uint64_t generated = 0; ///< engine records generated
+    std::uint32_t switchesLeft;
+    std::uint64_t switchInterval;
+    std::uint64_t nextSwitch;
+
+    // The ring. A slot's records are written by the producer before it
+    // publishes the slot and read by the merge until it releases it;
+    // the two counters are guarded by the owning crew's mutex.
+    std::vector<TraceRecord> slots;
+    std::array<std::size_t, kLaneSlots> slotLength{}; ///< records per slot
+    std::uint64_t published = 0; ///< slots filled so far
+    std::uint64_t released = 0;  ///< slots the merge finished reading
+};
+
+/** One generator thread and the lock its lanes' rings share. */
+struct Crew
+{
+    std::mutex mu;
+    std::condition_variable space; ///< a slot was released, or stop
+    std::condition_variable data;  ///< a slot was published
+    std::thread thread;
+};
+
+/** The merge's read position in one lane's current slot. */
+struct LaneCursor
+{
+    const TraceRecord *pos = nullptr;
+    const TraceRecord *end = nullptr;
+    bool holding = false;       ///< a slot is taken and not released
+    std::uint64_t emitted = 0;  ///< engine records merged so far
+};
+
+} // namespace
+
+std::uint64_t
+traceRecordCount(const WorkloadProfile &profile)
+{
+    const WorkloadProfile &p = checkedProfile(profile);
+    const std::uint64_t per_cpu = p.totalRefs / p.numCpus;
+    std::uint64_t total = 0;
+    for (CpuId c = 0; c < p.numCpus; ++c) {
+        // Each switch is paired with one of the CPU's engine records,
+        // so a CPU with fewer records than switches emits only as
+        // many switches as records.
+        total += per_cpu +
+            std::min<std::uint64_t>(switchesFor(p, c), per_cpu);
+    }
+    return total;
+}
+
+unsigned
+generatorThreads(std::uint32_t num_cpus, unsigned hardware, unsigned cap)
+{
+    unsigned t = std::min<unsigned>(num_cpus, std::max(hardware, 1u));
+    if (cap > 0)
+        t = std::min(t, cap);
+    return std::max(t, 1u);
+}
+
+/**
+ * Streaming state: one lane per CPU, generated ahead on T threads
+ * (generatorThreads() by default), and the round-robin merge over the
+ * lanes. The emission order is identical to the historical serial
+ * loop: CPUs are visited round-robin; a visit first emits a due
+ * context-switch marker, then one engine record. Each lane holds its
+ * CPU's records in exactly that order, so the merge reads the same
+ * bytes a single thread would have generated, for any thread count.
+ *
+ * Thread t owns lanes t, t+T, ... and fills whichever of them has a
+ * free slot, blocking only when all of them are full. The merge waits
+ * only on a lane with no published slot, whose owner therefore has a
+ * free slot to fill and is not blocked: the wait always ends.
  */
 struct TraceStream::Impl
 {
-    /** @p p, after panicking if it fails validateProfile(). */
-    static const WorkloadProfile &
-    checked(const WorkloadProfile &p)
-    {
-        if (Status valid = validateProfile(p); !valid)
-            panic("invalid workload profile: ", valid.error().message);
-        return p;
-    }
-
-    explicit Impl(const WorkloadProfile &p)
-        : profile(checked(p)), perCpu(p.totalRefs / p.numCpus),
-          nextSwitch(p.numCpus, 0), switchInterval(p.numCpus, 0),
-          switchesLeft(p.numCpus, 0), emitted(p.numCpus, 0)
+    Impl(const WorkloadProfile &p, unsigned threads)
+        : profile(checkedProfile(p)), perCpu(p.totalRefs / p.numCpus),
+          total(traceRecordCount(p)),
+          threadCount(threads > 0
+                          ? std::min(threads, p.numCpus)
+                          : generatorThreads(p.numCpus, hardwareThreads(),
+                                             0)),
+          cursors(p.numCpus)
     {
         Rng root(profile.seed);
-        engines.reserve(profile.numCpus);
+        lanes.reserve(profile.numCpus);
         for (CpuId c = 0; c < profile.numCpus; ++c)
-            engines.emplace_back(profile, c, root.fork(), genStats);
+            lanes.push_back(
+                std::make_unique<Lane>(profile, c, root.fork(), perCpu));
+    }
 
-        // Spread context switches across CPUs, remainder to low CPUs.
-        for (CpuId c = 0; c < profile.numCpus; ++c) {
-            std::uint32_t n = profile.contextSwitches / profile.numCpus +
-                (c < profile.contextSwitches % profile.numCpus ? 1 : 0);
-            switchesLeft[c] = n;
-            switchInterval[c] = n > 0 ? perCpu / (n + 1) : 0;
-            nextSwitch[c] = switchInterval[c];
-            // Each switch is paired with one of the CPU's engine
-            // records, so a CPU with fewer records than switches
-            // emits only as many switches as records.
-            total += perCpu + std::min<std::uint64_t>(n, perCpu);
+    ~Impl() { stopCrews(); }
+
+    Impl(const Impl &) = delete;
+    Impl &operator=(const Impl &) = delete;
+
+    /** Start the generator threads; called on the first pull. */
+    void
+    startCrews()
+    {
+        started = true;
+        if (perCpu == 0)
+            return;
+        crews.reserve(threadCount);
+        for (unsigned t = 0; t < threadCount; ++t)
+            crews.push_back(std::make_unique<Crew>());
+        for (unsigned t = 0; t < threadCount; ++t)
+            crews[t]->thread = std::thread([this, t] { produce(t); });
+    }
+
+    /** Stop and join every generator thread, done or not. */
+    void
+    stopCrews()
+    {
+        stopping.store(true, std::memory_order_relaxed);
+        for (auto &crew : crews) {
+            // Taking the lock orders the flag before a producer's
+            // next check, so its wait cannot miss the notify.
+            { std::lock_guard<std::mutex> g(crew->mu); }
+            crew->space.notify_all();
         }
+        for (auto &crew : crews)
+            if (crew->thread.joinable())
+                crew->thread.join();
+    }
+
+    /** Generator thread @p t: keep its lanes' rings full. */
+    void
+    produce(unsigned t)
+    {
+        Crew &crew = *crews[t];
+        const std::size_t stride = crews.size();
+        std::unique_lock<std::mutex> lk(crew.mu);
+        while (!stopping.load(std::memory_order_relaxed)) {
+            // Fill the unfinished lane with the fewest batches ahead
+            // of the merge: the one the merge reaches soonest.
+            Lane *pick = nullptr;
+            bool unfinished = false;
+            for (std::size_t c = t; c < lanes.size(); c += stride) {
+                Lane &l = *lanes[c];
+                if (l.finished())
+                    continue;
+                unfinished = true;
+                std::uint64_t ahead = l.published - l.released;
+                if (ahead < kLaneSlots &&
+                    (!pick || ahead < pick->published - pick->released))
+                    pick = &l;
+            }
+            if (!unfinished)
+                return;
+            if (!pick) {
+                crew.space.wait(lk);
+                continue;
+            }
+            std::size_t slot = pick->published % kLaneSlots;
+            lk.unlock();
+            pick->slotLength[slot] =
+                pick->fillBatch(&pick->slots[slot * kLaneBatch]);
+            lk.lock();
+            pick->published += 1;
+            crew.data.notify_one();
+        }
+    }
+
+    /** Point lane @p c's cursor at its next published slot. */
+    void
+    refill(CpuId c)
+    {
+        Lane &l = *lanes[c];
+        LaneCursor &cur = cursors[c];
+        Crew &crew = *crews[c % crews.size()];
+        std::unique_lock<std::mutex> lk(crew.mu);
+        if (cur.holding) {
+            l.released += 1;
+            crew.space.notify_one();
+        }
+        crew.data.wait(lk, [&l] { return l.published > l.released; });
+        std::size_t slot = l.released % kLaneSlots;
+        cur.pos = &l.slots[slot * kLaneBatch];
+        cur.end = cur.pos + l.slotLength[slot];
+        cur.holding = true;
+    }
+
+    /** The next record of lane @p c's subsequence. */
+    TraceRecord
+    take(CpuId c)
+    {
+        LaneCursor &cur = cursors[c];
+        if (cur.pos == cur.end)
+            refill(c);
+        return *cur.pos++;
     }
 
     bool
     next(TraceRecord &out)
     {
+        if (!started)
+            startCrews();
         if (owedEngineRecord) {
             // The context-switch marker for this CPU just went out; the
             // engine record of the same visit follows.
             owedEngineRecord = false;
-            out = engines[cursor].next();
-            emitted[cursor] += 1;
+            out = take(cursor);
+            cursors[cursor].emitted += 1;
             advance();
             produced += 1;
             return true;
@@ -473,26 +704,41 @@ struct TraceStream::Impl
         for (std::uint32_t scanned = 0; scanned < profile.numCpus;
              ++scanned) {
             CpuId c = cursor;
-            if (emitted[c] >= perCpu) {
+            if (cursors[c].emitted >= perCpu) {
                 advance();
                 continue;
             }
-            if (switchesLeft[c] > 0 && emitted[c] >= nextSwitch[c]) {
-                ProcessId new_pid = engines[c].contextSwitch();
-                switchesLeft[c] -= 1;
-                nextSwitch[c] += switchInterval[c];
+            out = take(c);
+            if (out.type == RefType::ContextSwitch) {
                 owedEngineRecord = true;
-                out = makeContextSwitch(c, new_pid);
-                produced += 1;
-                return true;
+            } else {
+                cursors[c].emitted += 1;
+                advance();
             }
-            out = engines[c].next();
-            emitted[c] += 1;
-            advance();
             produced += 1;
             return true;
         }
+        if (!finished)
+            finish();
         return false;
+    }
+
+    /** Every lane is drained: join the threads, sum the ground truth. */
+    void
+    finish()
+    {
+        finished = true;
+        stopCrews();
+        for (const auto &l : lanes) {
+            const GenStats &s = l->stats;
+            genStats.callWrites.merge(s.callWrites);
+            genStats.totalCalls += s.totalCalls;
+            genStats.callWriteCount += s.callWriteCount;
+            genStats.totalWrites += s.totalWrites;
+            genStats.totalReads += s.totalReads;
+            genStats.totalInstr += s.totalInstr;
+            genStats.contextSwitches += s.contextSwitches;
+        }
     }
 
     void
@@ -503,21 +749,26 @@ struct TraceStream::Impl
     }
 
     WorkloadProfile profile;
-    GenStats genStats;
-    std::vector<CpuEngine> engines;
     std::uint64_t perCpu;
-    std::vector<std::uint64_t> nextSwitch;
-    std::vector<std::uint64_t> switchInterval;
-    std::vector<std::uint32_t> switchesLeft;
-    std::vector<std::uint64_t> emitted;
+    std::uint64_t total;
+    unsigned threadCount;
+    std::vector<std::unique_ptr<Lane>> lanes;
+    std::vector<std::unique_ptr<Crew>> crews;
+    std::atomic<bool> stopping{false};
+
+    // Merge state: touched by the pulling thread alone.
+    std::vector<LaneCursor> cursors;
     CpuId cursor = 0;
     bool owedEngineRecord = false;
+    bool started = false;
+    bool finished = false;
     std::uint64_t produced = 0;
-    std::uint64_t total = 0;
+    GenStats genStats; ///< the lanes' sum, once finished
 };
 
-TraceStream::TraceStream(const WorkloadProfile &profile)
-    : _impl(std::make_unique<Impl>(profile))
+TraceStream::TraceStream(const WorkloadProfile &profile,
+                         unsigned threads)
+    : _impl(std::make_unique<Impl>(profile, threads))
 {
 }
 
@@ -566,13 +817,13 @@ TraceStream::stats() const
 }
 
 TraceBundle
-generateTrace(const WorkloadProfile &profile)
+generateTrace(const WorkloadProfile &profile, unsigned threads)
 {
+    TraceStream stream(profile, threads);
     TraceBundle bundle;
     bundle.profile = profile;
-    bundle.records.reserve(profile.totalRefs + profile.contextSwitches);
+    bundle.records.reserve(stream.expectedTotal());
 
-    TraceStream stream(profile);
     TraceRecord r;
     while (stream.next(r))
         bundle.records.push_back(r);

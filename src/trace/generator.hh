@@ -71,6 +71,13 @@ void setupAddressSpaces(const WorkloadProfile &profile,
 /** Total number of processes a profile creates. */
 std::uint32_t processCount(const WorkloadProfile &profile);
 
+/**
+ * Exact number of records the trace of @p profile holds (references
+ * plus context switches), computed without generating any of them.
+ * Panics if the profile fails validateProfile().
+ */
+std::uint64_t traceRecordCount(const WorkloadProfile &profile);
+
 /** A generated trace plus generation-time statistics. */
 struct TraceBundle
 {
@@ -80,12 +87,14 @@ struct TraceBundle
 };
 
 /**
- * Generate the full interleaved trace for @p profile.
+ * Generate the full interleaved trace for @p profile, on @p threads
+ * generator threads as TraceStream counts them (0 = the default).
  *
  * Deterministic: equal profiles (including seed) produce identical
- * bundles.
+ * bundles, whatever the thread count.
  */
-TraceBundle generateTrace(const WorkloadProfile &profile);
+TraceBundle generateTrace(const WorkloadProfile &profile,
+                          unsigned threads = 0);
 
 /**
  * Nested working-set address sampler.

@@ -7,6 +7,11 @@
  * multi-million-reference workload without ever holding the trace in
  * memory. generateTrace() itself is implemented by draining a stream,
  * which guarantees the two paths can never diverge.
+ *
+ * Each CPU's records are generated on a generator thread, ahead of the
+ * pull, into a bounded per-CPU ring; the pull merges the rings in the
+ * serial round-robin order, so the bytes do not depend on the thread
+ * count (DESIGN.md, "Streaming generation").
  */
 
 #ifndef VRC_TRACE_TRACE_STREAM_HH
@@ -22,11 +27,28 @@
 namespace vrc
 {
 
-/** Pull-based generator of one profile's interleaved trace. */
+/**
+ * Generator threads a stream over a @p num_cpus profile starts: one
+ * per CPU, at most @p hardware, and at most @p cap when @p cap is
+ * nonzero. Never fewer than 1. Pure: starts nothing.
+ */
+unsigned generatorThreads(std::uint32_t num_cpus, unsigned hardware,
+                          unsigned cap);
+
+/** Pull-based generator of one profile's interleaved trace; pull from
+ *  one thread at a time. */
 class TraceStream
 {
   public:
-    explicit TraceStream(const WorkloadProfile &profile);
+    /**
+     * A stream of @p profile's trace, generated on @p threads threads
+     * (at most one per CPU; 0 = generatorThreads(numCpus,
+     * hardwareThreads(), 0)). The threads start on the first pull; the
+     * destructor stops and joins them, also when the stream is
+     * abandoned part-way.
+     */
+    explicit TraceStream(const WorkloadProfile &profile,
+                         unsigned threads = 0);
     ~TraceStream();
 
     TraceStream(TraceStream &&) noexcept;
@@ -62,8 +84,8 @@ class TraceStream
     const WorkloadProfile &profile() const;
 
     /**
-     * Generation-time ground truth accumulated so far; complete once
-     * next() has returned false.
+     * Generation-time ground truth: the sum over the CPUs, filled in
+     * when next() first returns false and empty before.
      */
     const GenStats &stats() const;
 

@@ -81,5 +81,34 @@ TEST(HistogramTest, SingleBucketEverythingOverflows)
     EXPECT_EQ(h.overflowCount(), 2u);
 }
 
+TEST(HistogramTest, MergeEqualsRecordingEverySampleInOne)
+{
+    const std::uint64_t left[] = {1, 3, 3, 4, 9, 0};
+    const std::uint64_t right[] = {2, 3, 4, 5, 17, 100};
+    Histogram a(4), b(4), all(4);
+    for (std::uint64_t v : left) {
+        a.record(v);
+        all.record(v);
+    }
+    for (std::uint64_t v : right) {
+        b.record(v);
+        all.record(v);
+    }
+    a.merge(b);
+    for (std::uint64_t v = 1; v <= 4; ++v)
+        EXPECT_EQ(a.count(v), all.count(v)) << "bucket " << v;
+    EXPECT_EQ(a.samples(), 12u);
+    // Overflow bucket: 4, 9 | 4, 5, 17, 100 -- counts add and the
+    // exact overflow values add into the sum.
+    EXPECT_EQ(a.overflowCount(), 6u);
+    EXPECT_EQ(a.sum(), all.sum());
+    EXPECT_EQ(a.sum(), 1u + 3 + 3 + 4 + 9 + 1 + 2 + 3 + 4 + 5 + 17 + 100);
+
+    // Merging an empty histogram changes nothing.
+    a.merge(Histogram(4));
+    EXPECT_EQ(a.samples(), 12u);
+    EXPECT_EQ(a.sum(), all.sum());
+}
+
 } // namespace
 } // namespace vrc

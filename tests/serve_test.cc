@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -179,39 +182,80 @@ TEST(ServeTest, WellFormedBadContentKeepsSessionAlive)
     EXPECT_EQ(server.stats().sessionsPoisoned, 0u);
 }
 
+/** Holds every segment in its worker until opened. */
+class SegmentGate
+{
+  public:
+    void
+    pass()
+    {
+        std::unique_lock<std::mutex> lk(_mu);
+        _cv.wait(lk, [this] { return _open; });
+    }
+
+    void
+    open()
+    {
+        {
+            std::lock_guard<std::mutex> g(_mu);
+            _open = true;
+        }
+        _cv.notify_all();
+    }
+
+  private:
+    std::mutex _mu;
+    std::condition_variable _cv;
+    bool _open = false;
+};
+
 TEST(ServeTest, PerClientCapShedsExcessSubmits)
 {
     TempSock sock("serve_shed.sock");
+    auto gate = std::make_shared<SegmentGate>();
     ServeOptions opt;
     opt.unixPath = sock.path;
     opt.workers = 1;
     opt.perClientCap = 1;
+    opt.beforeSegment = [gate](std::uint64_t) { gate->pass(); };
     ServeServer server(opt);
     ASSERT_TRUE(server.start().ok());
+    // Declared after the server, so destroyed first: the gate opens
+    // before the server drains, even when an assertion fails.
+    struct Opener
+    {
+        std::shared_ptr<SegmentGate> gate;
+        ~Opener() { gate->open(); }
+    } opener{gate};
 
     ServeClient c;
     attach(c, sock.path, "greedy");
-    // Two sizable submits back to back: the first is admitted; the
-    // second arrives while the first still runs and must be SHED.
+    // The first submit is admitted and held in the worker by the
+    // gate, so the second arrives while it is in flight and must be
+    // SHED; only then does the first finish.
     std::size_t n = bundle().records.size();
     ASSERT_TRUE(c.submit(submitFor(1, 0, n)).ok());
     ASSERT_TRUE(c.submit(submitFor(2, 0, n)).ok());
 
-    bool saw_shed = false, saw_result = false;
-    for (int i = 0; i < 2; ++i) {
-        auto fr = c.readFrame(60.0);
-        ASSERT_TRUE(fr.ok()) << fr.error().describe();
-        if (fr.value().type == FrameType::Shed)
-            saw_shed = true;
-        else if (fr.value().type == FrameType::Result)
-            saw_result = true;
-    }
-    EXPECT_TRUE(saw_shed);
-    EXPECT_TRUE(saw_result);
+    auto shed = c.readFrame(10.0);
+    ASSERT_TRUE(shed.ok()) << shed.error().describe();
+    ASSERT_EQ(shed.value().type, FrameType::Shed);
+    auto e = decodeErrorReply(shed.value().payload);
+    ASSERT_TRUE(e.ok());
+    EXPECT_EQ(e.value().segmentId, 2u);
+
+    gate->open();
+    auto fr = c.readFrame(60.0);
+    ASSERT_TRUE(fr.ok()) << fr.error().describe();
+    ASSERT_EQ(fr.value().type, FrameType::Result);
+    auto r = decodeResult(fr.value().payload);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().segmentId, 1u);
 
     server.requestDrain();
     EXPECT_EQ(server.waitUntilDrained(), 0);
     EXPECT_EQ(server.stats().segmentsShed, 1u);
+    EXPECT_EQ(server.stats().segmentsCompleted, 1u);
 }
 
 TEST(ServeTest, SegmentDeadlineTimesOut)

@@ -94,6 +94,30 @@ TEST(ShardCellIdTest, DerivedFromContentNotGridPosition)
     EXPECT_NE(shardCellId(other, grid[0]), ids[0]);
 }
 
+TEST(ShardCellIdTest, IdentityHashMatchesGeneratedBundle)
+{
+    // The coordinator keys a campaign from the profile and
+    // traceRecordCount() alone; a sweep keys it from the generated
+    // trace. Both must agree, or a coordinated journal would not
+    // resume as a local one. At 0.01, pops's totalRefs is not a
+    // multiple of its CPU count.
+    std::vector<SimJob> grid = smallGrid();
+    for (const WorkloadProfile &base : paperProfiles()) {
+        for (double scale : {1.0, 0.01}) {
+            WorkloadProfile p = scaled(base, scale);
+            SCOPED_TRACE(p.name + " x" + std::to_string(scale));
+            TraceBundle bundle = generateTrace(p);
+            std::uint64_t records = traceRecordCount(p);
+            EXPECT_EQ(records, bundle.records.size());
+            EXPECT_EQ(campaignKey(p, records, grid),
+                      campaignKey(bundle, grid));
+            for (const SimJob &j : grid)
+                EXPECT_EQ(shardCellId(p, records, j),
+                          shardCellId(bundle, j));
+        }
+    }
+}
+
 // ---- merge determinism ------------------------------------------------
 
 /** A complete journal for the small grid, plus its per-cell lines. */
@@ -231,7 +255,7 @@ E2eResult
 runCoordinated(const ShardCoordinatorOptions &optIn, unsigned workers,
                const std::string &tag)
 {
-    TraceBundle bundle = smallBundle();
+    WorkloadProfile profile = scaled(profileByName("pops"), 0.002);
     std::vector<SimJob> jobs = smallGrid();
 
     ShardCoordinatorOptions opt = optIn;
@@ -255,7 +279,8 @@ runCoordinated(const ShardCoordinatorOptions &optIn, unsigned workers,
         });
     }
 
-    Result<CampaignResult> run = coordinator.run(bundle, jobs);
+    Result<CampaignResult> run =
+        coordinator.run(profile, traceRecordCount(profile), jobs);
     for (std::thread &t : pool)
         t.join();
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -187,6 +189,106 @@ TEST(TraceStreamTest, PinnedContentHash)
         EXPECT_EQ(g.callWriteCount, pin.callWrites);
         EXPECT_EQ(g.contextSwitches, pin.switches);
     }
+}
+
+/** The FNV-1a hash and ground truth PinnedContentHash holds, per
+ *  profile at scale 0.02. */
+struct Pin
+{
+    const char *profile;
+    std::uint64_t hash, records, instr, reads, writes, calls, callWrites,
+        switches;
+};
+const Pin kPins[] = {
+    {"pops", 0x85abea2f0ee7e12cull, 65720, 34618, 25884, 5218, 154, 1392,
+     0},
+    {"thor", 0xf6f3b02687fa243eull, 65660, 30646, 28045, 6969, 168, 1434,
+     0},
+    {"abaqus", 0xcf32ef17387f246bull, 23926, 10293, 12045, 1582, 44, 362,
+     6},
+};
+
+// Each CPU's records come from their own lane whatever thread owns it:
+// the merged bytes and the summed ground truth cannot depend on how
+// many threads generate them, including a count that does not divide
+// the CPUs (3 over 4 lanes: one thread owns two).
+TEST(TraceStreamTest, SameBytesForAnyThreadCount)
+{
+    for (const Pin &pin : kPins) {
+        WorkloadProfile p = scaled(profileByName(pin.profile), 0.02);
+        for (unsigned threads = 1; threads <= p.numCpus; ++threads) {
+            SCOPED_TRACE(std::string(pin.profile) + " threads=" +
+                         std::to_string(threads));
+            TraceStream stream(p, threads);
+            std::uint64_t records = 0;
+            EXPECT_EQ(contentHash(stream, records), pin.hash);
+            EXPECT_EQ(records, pin.records);
+            const GenStats &g = stream.stats();
+            EXPECT_EQ(g.totalInstr, pin.instr);
+            EXPECT_EQ(g.totalReads, pin.reads);
+            EXPECT_EQ(g.totalWrites, pin.writes);
+            EXPECT_EQ(g.totalCalls, pin.calls);
+            EXPECT_EQ(g.callWriteCount, pin.callWrites);
+            EXPECT_EQ(g.contextSwitches, pin.switches);
+            EXPECT_EQ(g.callWrites.samples(), pin.calls);
+            EXPECT_EQ(g.callWrites.sum(), pin.callWrites);
+        }
+    }
+}
+
+// Abandoning a stream part-way -- a --warmup cut, a machine check, a
+// cancelled cell -- must stop and join its generator threads, whether
+// they are blocked on full rings or still generating.
+TEST(TraceStreamTest, DestroyMidStream)
+{
+    // Each of thor's lanes holds ~41k records, far more than its ring,
+    // so its producers fill the ring and block.
+    WorkloadProfile p = scaled(thorProfile(), 0.05);
+    std::vector<TraceRecord> buf(4096);
+    for (unsigned threads : {1u, 3u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        {
+            TraceStream stream(p, threads);
+            for (int i = 0; i < 3; ++i)
+                ASSERT_EQ(stream.nextBatch(buf.data(), buf.size()),
+                          buf.size());
+            // Let the producers run into their full rings.
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        {
+            // Destroyed while its producers are still generating.
+            TraceStream stream(p, threads);
+            TraceRecord r;
+            ASSERT_TRUE(stream.next(r));
+        }
+        {
+            // Never pulled: no thread was started.
+            TraceStream stream(p, threads);
+        }
+        {
+            // Move-assigning over a running stream destroys it.
+            TraceStream a(p, threads);
+            TraceRecord r;
+            ASSERT_TRUE(a.next(r));
+            TraceStream b(scaled(popsProfile(), 0.002), threads);
+            ASSERT_TRUE(b.next(r));
+            a = std::move(b);
+            EXPECT_EQ(a.produced(), 1u);
+        }
+    }
+}
+
+TEST(TraceStreamTest, ThreadBound)
+{
+    // A 64-CPU profile file on a 4-thread host starts 4 threads, and
+    // --jobs=1 one.
+    EXPECT_EQ(generatorThreads(64, 4, 0), 4u);
+    EXPECT_EQ(generatorThreads(64, 4, 1), 1u);
+    EXPECT_EQ(generatorThreads(64, 4, 8), 4u);
+    // Never more threads than CPUs, and never none.
+    EXPECT_EQ(generatorThreads(2, 16, 0), 2u);
+    EXPECT_EQ(generatorThreads(4, 16, 3), 3u);
+    EXPECT_EQ(generatorThreads(1, 0, 0), 1u);
 }
 
 TEST(TraceStreamTest, MoveTransfersState)

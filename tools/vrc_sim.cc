@@ -35,6 +35,7 @@
 #include "base/log.hh"
 #include "base/shutdown.hh"
 #include "base/table.hh"
+#include "base/threads.hh"
 #include "serve/server.hh"
 #include "cache/protection.hh"
 #include "core/clock.hh"
@@ -89,7 +90,8 @@ usage()
         "  --max-retries=<n>  retries before a cell is quarantined\n"
         "  --manifest=<path>  write the failure manifest JSON here\n"
         "  --out=<path>     write the campaign result JSON here\n"
-        "  --jobs=<n>       worker threads for the sweep\n"
+        "  --jobs=<n>       worker threads for the sweep and for its\n"
+        "                   trace generation\n"
         "  --inject-faults=<spec>  arm deterministic fault injection\n"
         "                   (seed=N[,corrupt=P][,truncate=P][,throw=P]\n"
         "                   [,stall=P][,stall_ms=M])\n"
@@ -288,7 +290,7 @@ runSweep(const TraceBundle &bundle, const CampaignOptions &opt,
 }
 
 int
-runCoordinate(const TraceBundle &bundle,
+runCoordinate(const WorkloadProfile &profile,
               const ShardCoordinatorOptions &opt, bool json,
               const std::string &out_path, TimingMode timing_mode)
 {
@@ -300,7 +302,8 @@ runCoordinate(const TraceBundle &bundle,
         return reportError(bound.error(), 2);
     announceListeners(opt.listenUnix, coordinator.tcpPort());
 
-    Result<CampaignResult> run = coordinator.run(bundle, jobs);
+    Result<CampaignResult> run =
+        coordinator.run(profile, traceRecordCount(profile), jobs);
     ShardStats st = coordinator.stats();
     std::cerr << "vrc_sim: coordinated " << st.cellResults
               << " cell results over " << st.workersSeen
@@ -518,8 +521,7 @@ main(int argc, char **argv)
         co.listenTcp = serve_opt.tcpPort;
         co.profileScale = scale;
         co.cellsPerShard = shard_cells;
-        return runCoordinate(generateTrace(profile), co, json,
-                             out_path, timing_mode);
+        return runCoordinate(profile, co, json, out_path, timing_mode);
     }
     if (sweep) {
         probeWritable("campaign result (--out)", out_path);
@@ -533,7 +535,10 @@ main(int argc, char **argv)
             bundle.profile = profile;
             bundle.records = loaded.take();
         } else {
-            bundle = generateTrace(profile);
+            bundle = generateTrace(
+                profile, generatorThreads(profile.numCpus,
+                                          hardwareThreads(),
+                                          campaign.jobs));
         }
         return runSweep(bundle, campaign, json, out_path, timing_mode);
     }
